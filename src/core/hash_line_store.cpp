@@ -258,11 +258,30 @@ sim::Task<> HashLineStore::insert(LineId id, const mining::Itemset& itemset) {
   while (l.where == Where::kMigrating) {
     co_await migration_trigger(id).wait();
   }
+  if (try_insert(id, itemset)) co_return;
   if (l.where != Where::kResident) {
     // Build-phase insert into an evicted line: bring it home first (simple
     // swapping applies during candidate generation under every backend).
     co_await fault_in(id);
   }
+  append_resident(id, itemset);
+  if (over_limit()) co_await enforce_limit(id);
+}
+
+bool HashLineStore::try_insert(LineId id, const mining::Itemset& itemset) {
+  if (line(id).where != Where::kResident) return false;
+  if (config_.memory_limit_bytes >= 0 &&
+      resident_bytes_ + mining::Itemset::kAccountedBytes >
+          config_.memory_limit_bytes) {
+    return false;  // the insert would evict
+  }
+  append_resident(id, itemset);
+  return true;
+}
+
+void HashLineStore::append_resident(LineId id,
+                                    const mining::Itemset& itemset) {
+  Line& l = line(id);
   // Invariant: a line is in the LRU list iff it is resident and non-empty.
   const bool was_empty = (l.bytes == 0);
   l.entries.push_back(mining::CountedItemset{itemset, 0});
@@ -275,7 +294,6 @@ sim::Task<> HashLineStore::insert(LineId id, const mining::Itemset& itemset) {
   } else {
     lru_touch(id);
   }
-  if (over_limit()) co_await enforce_limit(id);
 }
 
 sim::Task<> HashLineStore::probe(LineId id, const mining::Itemset& itemset) {
@@ -291,19 +309,51 @@ sim::Task<> HashLineStore::probe(LineId id, const mining::Itemset& itemset) {
     co_await migration_trigger(id).wait();
   }
 
-  bool faulted = false;
-  if (l.where != Where::kResident) {
-    RMS_CHECK_MSG(l.where == Where::kRemote || l.where == Where::kDisk,
-                  "concurrent mutation of a hash line");
-    if (phase_ == Phase::kCount && backend_ &&
-        co_await backend_->update(id, itemset)) {
-      // Absorbed in place as a one-way remote update (§4.4).
+  switch (probe_step(id, itemset)) {
+    case Step::kDone:
       co_return;
-    }
-    co_await fault_in(id);
-    faulted = true;
+    case Step::kFlush:
+      co_await backend_->flush_due(id);
+      co_return;
+    case Step::kSlow:
+      break;
   }
+  RMS_CHECK_MSG(l.where == Where::kRemote || l.where == Where::kDisk,
+                "concurrent mutation of a hash line");
+  co_await fault_in(id);
+  probe_resident(id, itemset);
+  if (over_limit()) co_await enforce_limit(id);
+}
 
+HashLineStore::Step HashLineStore::probe_step(LineId id,
+                                              const mining::Itemset& itemset) {
+  switch (line(id).where) {
+    case Where::kResident:
+      probe_resident(id, itemset);
+      return Step::kDone;
+    case Where::kRemote:
+    case Where::kDisk:
+      break;
+    case Where::kFaulting:
+    case Where::kMigrating:
+      return Step::kSlow;
+  }
+  if (phase_ != Phase::kCount || backend_ == nullptr) return Step::kSlow;
+  switch (backend_->update(id, itemset)) {
+    case SwapBackend::UpdateStep::kFault:
+      return Step::kSlow;
+    case SwapBackend::UpdateStep::kQueued:
+      // Absorbed in place as a one-way remote update (§4.4).
+      return Step::kDone;
+    case SwapBackend::UpdateStep::kFlushDue:
+      return Step::kFlush;
+  }
+  return Step::kSlow;
+}
+
+void HashLineStore::probe_resident(LineId id,
+                                   const mining::Itemset& itemset) {
+  Line& l = line(id);
   for (mining::CountedItemset& e : l.entries) {
     if (e.items == itemset) {
       ++e.count;
@@ -311,7 +361,25 @@ sim::Task<> HashLineStore::probe(LineId id, const mining::Itemset& itemset) {
     }
   }
   if (l.bytes > 0) lru_touch(id);  // empty lines never enter the LRU
-  if (faulted && over_limit()) co_await enforce_limit(id);
+}
+
+sim::Task<> HashLineStore::probe_block(
+    std::span<const LineId> ids, std::span<const mining::Itemset> itemsets) {
+  RMS_CHECK(ids.size() == itemsets.size());
+  const std::size_t n = ids.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    prefetch_ahead(i, n, [ids](std::size_t j) { return ids[j]; });
+    switch (probe_step(ids[i], itemsets[i])) {
+      case Step::kDone:
+        break;
+      case Step::kFlush:
+        co_await backend_->flush_due(ids[i]);
+        break;
+      case Step::kSlow:
+        co_await probe(ids[i], itemsets[i]);
+        break;
+    }
+  }
 }
 
 sim::Task<std::uint32_t> HashLineStore::count_matches(LineId id,
@@ -320,18 +388,23 @@ sim::Task<std::uint32_t> HashLineStore::count_matches(LineId id,
   while (l.where == Where::kMigrating) {
     co_await migration_trigger(id).wait();
   }
-  bool faulted = false;
-  if (l.where != Where::kResident) {
-    co_await fault_in(id);
-    faulted = true;
-  }
+  if (const auto matches = try_count_matches(id, key)) co_return *matches;
+  co_await fault_in(id);
+  const std::uint32_t matches = *try_count_matches(id, key);
+  if (over_limit()) co_await enforce_limit(id);
+  co_return matches;
+}
+
+std::optional<std::uint32_t> HashLineStore::try_count_matches(
+    LineId id, mining::Item key) {
+  Line& l = line(id);
+  if (l.where != Where::kResident) return std::nullopt;
   std::uint32_t matches = 0;
   for (const mining::CountedItemset& e : l.entries) {
     if (!e.items.empty() && e.items.front() == key) ++matches;
   }
   if (l.bytes > 0) lru_touch(id);
-  if (faulted && over_limit()) co_await enforce_limit(id);
-  co_return matches;
+  return matches;
 }
 
 sim::Task<> HashLineStore::flush_updates() {

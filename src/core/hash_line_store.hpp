@@ -34,11 +34,20 @@
 // plus the availability client calling `migrate_away` and the failure
 // detector calling `handle_holder_failure`; the line-state machine
 // (kFaulting / kMigrating) makes that interleaving safe.
+//
+// Hot path: every operation that cannot advance the virtual clock — an
+// insert, probe or read on a resident line, or a probe the backend queues
+// as a one-way update — runs as a plain synchronous step (try_insert,
+// try_count_matches, the step inside probe_block). The coroutine
+// operations are built on those steps and suspend only on the slow path:
+// migration waits, faults, evictions and due update flushes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -153,16 +162,48 @@ class HashLineStore {
 
   /// Register a candidate in local line `line` (build phase). May evict.
   sim::Task<> insert(LineId line, const mining::Itemset& itemset);
+  /// Synchronous step of insert(): registers the candidate and returns true
+  /// when `line` is resident and the store stays within its limit. False
+  /// changes nothing; the caller awaits insert() instead.
+  bool try_insert(LineId line, const mining::Itemset& itemset);
 
   /// Support-count probe (count phase). Resident lines are probed in place;
   /// non-resident lines fault or emit a remote update per the backend.
   sim::Task<> probe(LineId line, const mining::Itemset& itemset);
+
+  /// Apply one received message block: probe itemsets[i] in lines[i], in
+  /// order, exactly as successive probe() calls would. Resident lines and
+  /// queued remote updates complete synchronously under a two-stage
+  /// software prefetch; only the slow path suspends.
+  sim::Task<> probe_block(std::span<const LineId> lines,
+                          std::span<const mining::Itemset> itemsets);
 
   /// Read query: number of entries in `line` whose first item equals `key`
   /// (the hash-join probe: entries encode keyed tuples). Reads need the
   /// data, so non-resident lines fault in under every policy — one-way
   /// remote updates cannot answer them.
   sim::Task<std::uint32_t> count_matches(LineId line, mining::Item key);
+  /// Synchronous step of count_matches(): the answer when `line` is
+  /// resident; nullopt (nothing changed) when the caller must await
+  /// count_matches() instead.
+  std::optional<std::uint32_t> try_count_matches(LineId line,
+                                                 mining::Item key);
+
+  /// Lookahead for loops that drive the store element by element: call
+  /// before operating on element `i` of `n`, where `line_at(j)` names
+  /// element j's line. Prefetches line headers kHeaderLookahead elements
+  /// ahead, then (reading those headers) entry arrays and LRU neighbours
+  /// kBodyLookahead ahead. Hints only: no state changes, and ids outside
+  /// the table are skipped.
+  template <typename LineAt>
+  void prefetch_ahead(std::size_t i, std::size_t n, LineAt&& line_at) const {
+    if (i + kHeaderLookahead < n) {
+      prefetch_header(line_at(i + kHeaderLookahead));
+    }
+    if (i + kBodyLookahead < n) prefetch_body(line_at(i + kBodyLookahead));
+  }
+  static constexpr std::size_t kHeaderLookahead = 16;
+  static constexpr std::size_t kBodyLookahead = 8;
 
   /// Send all partially-filled update batches (end of counting phase).
   sim::Task<> flush_updates();
@@ -271,6 +312,43 @@ class HashLineStore {
   bool over_limit() const {
     return config_.memory_limit_bytes >= 0 &&
            resident_bytes_ > config_.memory_limit_bytes;
+  }
+
+  /// Synchronous step of probe(): kDone when the probe finished without
+  /// suspending (resident line, or an update the backend queued), kFlush
+  /// when the queued update made a batch due (await flush_due), kSlow when
+  /// nothing happened and the general path must run.
+  enum class Step : std::uint8_t { kDone, kFlush, kSlow };
+  Step probe_step(LineId id, const mining::Itemset& itemset);
+  /// Count `itemset` in a resident line and refresh its LRU position.
+  void probe_resident(LineId id, const mining::Itemset& itemset);
+  /// Append a candidate to a resident line, charging residency.
+  void append_resident(LineId id, const mining::Itemset& itemset);
+
+  void prefetch_header(LineId id) const {
+    if (static_cast<std::size_t>(id) < lines_.size()) {
+      __builtin_prefetch(&lines_[static_cast<std::size_t>(id)]);
+    }
+  }
+  /// Entry-array bytes prefetched per line: a typical hash line's entries.
+  static constexpr std::size_t kPrefetchEntryBytes = 256;
+  void prefetch_body(LineId id) const {
+    if (static_cast<std::size_t>(id) >= lines_.size()) return;
+    const Line& l = lines_[static_cast<std::size_t>(id)];
+    // The entry array, a cache line at a time.
+    const char* entries = reinterpret_cast<const char*>(l.entries.data());
+    const std::size_t entry_bytes =
+        l.entries.size() * sizeof(mining::CountedItemset);
+    for (std::size_t at = 0; at < entry_bytes && at < kPrefetchEntryBytes;
+         at += 64) {
+      __builtin_prefetch(entries + at);
+    }
+    if (l.lru_prev >= 0) {
+      __builtin_prefetch(&lines_[static_cast<std::size_t>(l.lru_prev)]);
+    }
+    if (l.lru_next >= 0) {
+      __builtin_prefetch(&lines_[static_cast<std::size_t>(l.lru_next)]);
+    }
   }
 
   /// Evict victim lines (never `pinned`) until within the limit.

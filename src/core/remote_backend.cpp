@@ -450,14 +450,30 @@ sim::Task<> RemoteBackend::fault_in(LineId id) {
 // Remote updates
 // ---------------------------------------------------------------------------
 
-sim::Task<bool> RemoteBackend::update(LineId id,
-                                      const mining::Itemset& itemset) {
-  auto& l = store_.line(id);
-  if (!update_mode_ || l.where != Where::kRemote) co_return false;
-  queue_update(id, itemset);
+SwapBackend::UpdateStep RemoteBackend::update(
+    LineId id, const mining::Itemset& itemset) {
+  if (!update_mode_ || store_.line(id).where != Where::kRemote) {
+    return UpdateStep::kFault;
+  }
+  return queue_update(id, itemset) ? UpdateStep::kFlushDue
+                                   : UpdateStep::kQueued;
+}
+
+sim::Task<> RemoteBackend::flush_due(LineId id) {
+  const auto& l = store_.line(id);
   co_await maybe_flush_batch(l.holder);
   co_await maybe_flush_batch(l.backup);
-  co_return true;
+}
+
+sim::Task<> RemoteBackend::requeue_pending(LineId id) {
+  const auto pend = pending_updates_.find(id);
+  if (pend == pending_updates_.end()) co_return;
+  for (const mining::Itemset& s : pend->second) {
+    --*updates_sent_;  // queue_update counts it again
+    queue_update(id, s);
+  }
+  pending_updates_.erase(pend);
+  co_await flush_due(id);
 }
 
 bool RemoteBackend::buffer_migrating_update(LineId id,
@@ -468,7 +484,7 @@ bool RemoteBackend::buffer_migrating_update(LineId id,
   return true;
 }
 
-void RemoteBackend::queue_update(LineId id, const mining::Itemset& itemset) {
+bool RemoteBackend::queue_update(LineId id, const mining::Itemset& itemset) {
   auto& l = store_.line(id);
   const auto append = [&](net::NodeId target) {
     auto& stream =
@@ -481,14 +497,16 @@ void RemoteBackend::queue_update(LineId id, const mining::Itemset& itemset) {
     }
     stream.open().updates.push_back(UpdateOp{id, itemset});
     stream.note(store_.config().update_op_bytes);
+    return stream.due();
   };
-  append(l.holder);
+  bool due = append(l.holder);
   ++*updates_sent_;
   if (l.backup >= 0) {
     // Mirror the op so the backup copy's counts track the primary's.
-    append(l.backup);
+    due = append(l.backup) || due;
     ++failover().updates_mirrored;
   }
+  return due;
 }
 
 sim::Task<> RemoteBackend::send_update_batch(net::NodeId holder) {
@@ -781,17 +799,7 @@ sim::Task<> RemoteBackend::migrate_away(net::NodeId holder) {
     node_.stats().bump("store.migration_no_destination");
     for (LineId id : marked) store_.line(id).where = Where::kRemote;
     for (LineId id : marked) {
-      auto& l = store_.line(id);
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update counts it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-        co_await maybe_flush_batch(l.backup);
-      }
+      co_await requeue_pending(id);
       store_.fire_migration_trigger(id);
     }
     co_return;
@@ -857,18 +865,8 @@ sim::Task<> RemoteBackend::migrate_away(net::NodeId holder) {
   //    settled (promoted or orphaned) had their pending updates flushed or
   //    dropped there.
   for (LineId id : marked) {
-    auto& l = store_.line(id);
-    if (l.where == Where::kRemote) {
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update will count it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-        co_await maybe_flush_batch(l.backup);
-      }
+    if (store_.line(id).where == Where::kRemote) {
+      co_await requeue_pending(id);
     }
     store_.fire_migration_trigger(id);
   }
@@ -1000,18 +998,7 @@ sim::Task<std::int64_t> RemoteBackend::reclaim_from(net::NodeId holder,
       // Promoted lines settle kRemote at the surviving backup (still
       // donated, just elsewhere); repaired or orphaned lines are resident.
       // Requeue any ops buffered while the line was parked.
-      if (l.where == Where::kRemote) {
-        const auto pend = pending_updates_.find(id);
-        if (pend != pending_updates_.end()) {
-          for (const mining::Itemset& s : pend->second) {
-            --*updates_sent_;  // queue_update counts it again
-            queue_update(id, s);
-          }
-          pending_updates_.erase(pend);
-          co_await maybe_flush_batch(l.holder);
-          co_await maybe_flush_batch(l.backup);
-        }
-      }
+      if (l.where == Where::kRemote) co_await requeue_pending(id);
     }
     store_.fire_migration_trigger(id);
   }
@@ -1090,15 +1077,7 @@ sim::Task<> RemoteBackend::on_holder_failure(net::NodeId dead) {
     if (l.where == Where::kRemote) {
       // Promoted: flush updates buffered while the line was dark.
       need_replica.push_back(id);
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update counts it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-      }
+      co_await requeue_pending(id);
     }
   }
 
@@ -1219,16 +1198,7 @@ sim::Task<> RemoteBackend::re_replicate(std::vector<LineId> ids) {
     auto& l = store_.line(id);
     if (l.where == Where::kMigrating) {
       l.where = Where::kRemote;
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update counts it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-        co_await maybe_flush_batch(l.backup);
-      }
+      co_await requeue_pending(id);
     }
     store_.fire_migration_trigger(id);
   }

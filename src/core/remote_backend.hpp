@@ -47,7 +47,8 @@ class RemoteBackend : public SwapBackend {
 
   sim::Task<> swap_out(LineId id) override;
   sim::Task<> fault_in(LineId id) override;
-  sim::Task<bool> update(LineId id, const mining::Itemset& itemset) override;
+  UpdateStep update(LineId id, const mining::Itemset& itemset) override;
+  sim::Task<> flush_due(LineId id) override;
   bool buffer_migrating_update(LineId id,
                                const mining::Itemset& itemset) override;
   sim::Task<> flush_updates() override;
@@ -117,9 +118,14 @@ class RemoteBackend : public SwapBackend {
   /// each line's holder so it copies the primary to a freshly chosen backup
   /// node. Parks the lines kMigrating across its awaits.
   sim::Task<> re_replicate(std::vector<LineId> ids);
-  void queue_update(LineId id, const mining::Itemset& itemset);
+  /// Append one update op to the line's holder batch (and its backup's);
+  /// true when either batch came due.
+  bool queue_update(LineId id, const mining::Itemset& itemset);
   sim::Task<> send_update_batch(net::NodeId holder);
   sim::Task<> maybe_flush_batch(net::NodeId holder);
+  /// A line settled at a remote holder: queue the ops buffered while it was
+  /// in flight (now mirrored to its current backup) and flush due batches.
+  sim::Task<> requeue_pending(LineId id);
   /// One holder's share of reclaim(): park up to `target_bytes` of this
   /// store's lines there kMigrating, fetch them home one kSwapIn at a time
   /// (the holder releases each line immediately, so donated bytes drop as

@@ -11,10 +11,12 @@ namespace rms::core {
 // update, flush, fetch, migrate, or recover. (Completing without suspending
 // keeps these timing-neutral in the simulation.)
 
-sim::Task<bool> SwapBackend::update(LineId /*id*/,
-                                    const mining::Itemset& /*itemset*/) {
-  co_return false;
+SwapBackend::UpdateStep SwapBackend::update(
+    LineId /*id*/, const mining::Itemset& /*itemset*/) {
+  return UpdateStep::kFault;
 }
+
+sim::Task<> SwapBackend::flush_due(LineId /*id*/) { co_return; }
 
 bool SwapBackend::buffer_migrating_update(LineId /*id*/,
                                           const mining::Itemset& /*itemset*/) {

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "core/protocol.hpp"
@@ -56,10 +57,21 @@ class SwapBackend {
   /// (resident and empty). The store wraps this with pagefault accounting.
   virtual sim::Task<> fault_in(LineId id) = 0;
 
-  /// Count-phase probe of a non-resident line. Returns true when the probe
-  /// was absorbed in place (a one-way remote update op, §4.4) — the caller
-  /// is done; false when the line must fault home instead.
-  virtual sim::Task<bool> update(LineId id, const mining::Itemset& itemset);
+  /// What a count-phase probe of a non-resident line became.
+  enum class UpdateStep : std::uint8_t {
+    kFault,     // not absorbed: the line must fault home
+    kQueued,    // absorbed as a one-way remote update op (§4.4)
+    kFlushDue,  // absorbed, and a batch came due: await flush_due()
+  };
+
+  /// Count-phase probe of a non-resident line, synchronous queue step.
+  /// kFault changes nothing. The op is queued on the line's holder and
+  /// backup; sending a due batch is left to flush_due().
+  virtual UpdateStep update(LineId id, const mining::Itemset& itemset);
+
+  /// Send whichever of the holder's and backup's update batches is due
+  /// (one op in message_block_bytes / update_op_bytes comes due).
+  virtual sim::Task<> flush_due(LineId id);
 
   /// Count-phase probe of a line whose holder is executing a migration
   /// directive. Returns true when the update was buffered until the line

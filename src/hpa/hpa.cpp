@@ -283,7 +283,7 @@ sim::Task<> HpaWorkload::pass1(std::size_t idx) {
       RMS_CHECK(it < counts.size());
       ++counts[it];
     }
-    co_await parse.add(1);
+    if (parse.add(1)) co_await parse.flush();
   }
   if (pending_bytes > 0) {
     co_await node.data_disk().read(pending_bytes, disk::Access::kSequential);
@@ -390,9 +390,12 @@ sim::Task<> HpaWorkload::build_store(std::size_t idx, std::size_t k) {
   core::HashLineStore& store = *stores_[idx];
   CpuCharger charge(node, costs.per_probe);
   auto& own = cand_by_owner_[idx];
-  for (const auto& [line, itemset] : own) {
-    co_await store.insert(line, itemset);
-    co_await charge.add(1);
+  const auto line_at = [&own](std::size_t j) { return own[j].first; };
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    store.prefetch_ahead(i, own.size(), line_at);
+    const auto& [line, itemset] = own[i];
+    if (!store.try_insert(line, itemset)) co_await store.insert(line, itemset);
+    if (charge.add(1)) co_await charge.flush();
   }
   co_await charge.flush();
   own.clear();
@@ -449,12 +452,14 @@ sim::Process HpaWorkload::count_sender(std::size_t idx, std::size_t k) {
                                      disk::Access::kSequential);
       pending_bytes = 0;
     }
-    co_await parse.add(1);
+    if (parse.add(1)) co_await parse.flush();
 
     scratch.clear();
     mining::for_each_k_subset(part.tx(t), k, keep,
                               [&](const Itemset& s) { scratch.push_back(s); });
-    co_await gen.add(static_cast<std::int64_t>(scratch.size()));
+    if (gen.add(static_cast<std::int64_t>(scratch.size()))) {
+      co_await gen.flush();
+    }
     for (const Itemset& s : scratch) {
       const std::size_t owner = owner_of_line(global_line(s));
       transport::Stream<CountMsg>& stream = streams[owner];
@@ -488,6 +493,7 @@ sim::Process HpaWorkload::count_receiver(std::size_t idx, std::size_t k) {
   core::HashLineStore& store = *stores_[idx];
 
   std::size_t eos_seen = 0;
+  std::vector<core::LineId> lines;
   transport::Inbox inbox(node, kCountData);
   while (eos_seen < cfg_.app_nodes) {
     net::Message msg = co_await inbox.recv();
@@ -499,11 +505,13 @@ sim::Process HpaWorkload::count_receiver(std::size_t idx, std::size_t k) {
     co_await node.compute(costs.per_message_cpu +
                           costs.per_probe *
                               static_cast<std::int64_t>(data.itemsets.size()));
+    lines.clear();
     for (const Itemset& s : data.itemsets) {
       const std::size_t gline = global_line(s);
       RMS_CHECK(owner_of_line(gline) == idx);
-      co_await store.probe(local_line(gline), s);
+      lines.push_back(local_line(gline));
     }
+    co_await store.probe_block(lines, data.itemsets);
   }
   (void)k;
 }
@@ -610,8 +618,12 @@ void HpaWorkload::prepare_inputs() {
 
 bool HpaWorkload::check_exactness() const {
   // Re-mine sequentially (the reference path the unit tests compare
-  // against) and require an identical support table.
-  const mining::AprioriResult seq = mining::apriori(*db_, cfg_.min_support);
+  // against), stopping at the same itemset size, and require an identical
+  // support table.
+  mining::AprioriOptions options;
+  options.max_k = cfg_.max_k;
+  const mining::AprioriResult seq =
+      mining::apriori(*db_, cfg_.min_support, options);
   if (seq.support.size() != result_.mined.support.size()) return false;
   for (const auto& [itemset, count] : seq.support) {
     const auto it = result_.mined.support.find(itemset);

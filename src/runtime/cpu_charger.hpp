@@ -18,14 +18,19 @@ namespace rms::runtime {
 /// Charge CPU in chunks: accumulates logical operations and converts them
 /// into one `compute` await per `chunk` operations, keeping the event count
 /// proportional to messages/faults instead of probes.
+///
+///   if (charge.add(1)) co_await charge.flush();
 class CpuCharger {
  public:
   CpuCharger(cluster::Node& node, Time per_op, std::int64_t chunk = 8192)
       : node_(node), per_op_(per_op), chunk_(chunk) {}
 
-  sim::Task<> add(std::int64_t ops) {
+  /// Account `ops` operations. True when a chunk came due: the caller then
+  /// awaits flush(). Synchronous, so per-operation loops allocate no
+  /// coroutine frame for it.
+  [[nodiscard]] bool add(std::int64_t ops) {
     pending_ += ops;
-    if (pending_ >= chunk_) co_await flush();
+    return pending_ >= chunk_;
   }
 
   sim::Task<> flush() {

@@ -186,9 +186,14 @@ sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
 
   core::HashLineStore& store = *stores_[idx];
   CpuCharger charge(node, costs.per_probe);
-  for (const auto& [line, item] : groups_by_owner_[idx]) {
-    co_await store.insert(line, make_key(item));
-    co_await charge.add(1);
+  const auto& groups = groups_by_owner_[idx];
+  const auto line_at = [&groups](std::size_t j) { return groups[j].first; };
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    store.prefetch_ahead(i, groups.size(), line_at);
+    const core::LineId line = groups[i].first;
+    const Itemset key = make_key(groups[i].second);
+    if (!store.try_insert(line, key)) co_await store.insert(line, key);
+    if (charge.add(1)) co_await charge.flush();
   }
   co_await charge.flush();
 }
@@ -233,8 +238,10 @@ sim::Process HashAggregateWorkload::scan_sender(std::size_t idx) {
                                      disk::Access::kSequential);
       pending_bytes = 0;
     }
-    co_await parse.add(1);
-    co_await gen.add(static_cast<std::int64_t>(part.tx(t).size()));
+    if (parse.add(1)) co_await parse.flush();
+    if (gen.add(static_cast<std::int64_t>(part.tx(t).size()))) {
+      co_await gen.flush();
+    }
     for (mining::Item item : part.tx(t)) {
       const std::size_t owner = owner_of_line(global_line(make_key(item)));
       transport::Stream<AggMsg>& stream = streams[owner];
@@ -268,6 +275,8 @@ sim::Process HashAggregateWorkload::scan_receiver(std::size_t idx) {
   core::HashLineStore& store = *stores_[idx];
 
   std::size_t eos_seen = 0;
+  std::vector<core::LineId> lines;
+  std::vector<Itemset> keys;
   transport::Inbox inbox(node, tuple_tag_);
   while (eos_seen < cfg_.app_nodes) {
     net::Message msg = co_await inbox.recv();
@@ -279,12 +288,16 @@ sim::Process HashAggregateWorkload::scan_receiver(std::size_t idx) {
     co_await node.compute(costs.per_message_cpu +
                           costs.per_probe *
                               static_cast<std::int64_t>(data.items.size()));
+    lines.clear();
+    keys.clear();
     for (mining::Item item : data.items) {
       const Itemset key = make_key(item);
       const std::size_t gline = global_line(key);
       RMS_CHECK(owner_of_line(gline) == idx);
-      co_await store.probe(local_line(gline), key);
+      lines.push_back(local_line(gline));
+      keys.push_back(key);
     }
+    co_await store.probe_block(lines, keys);
   }
 }
 

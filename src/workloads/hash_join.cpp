@@ -113,9 +113,16 @@ class HashJoinWorkload final : public runtime::Workload {
     // CpuCharger the miner's scan loops use (tuple parse on build, hash
     // probe on probe), keeping events proportional to faults, not rows.
     CpuCharger parse(node, node.costs().per_tx_parse);
-    for (const auto& [line, key, row_id] : build_by_node_[idx]) {
-      co_await store.insert(line, make_entry(key, row_id));
-      co_await parse.add(1);
+    const std::vector<PlacedRow>& rows = build_by_node_[idx];
+    const auto line_at = [&rows](std::size_t j) { return rows[j].line; };
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      store.prefetch_ahead(i, rows.size(), line_at);
+      const PlacedRow& row = rows[i];
+      const mining::Itemset entry = make_entry(row.key, row.row_id);
+      if (!store.try_insert(row.line, entry)) {
+        co_await store.insert(row.line, entry);
+      }
+      if (parse.add(1)) co_await parse.flush();
     }
     co_await parse.flush();
     store.set_phase(core::HashLineStore::Phase::kCount);
@@ -125,10 +132,17 @@ class HashJoinWorkload final : public runtime::Workload {
     cluster::Node& node = cluster_->node(app_id(idx));
     core::HashLineStore& store = *stores_[idx];
     CpuCharger lookup(node, node.costs().per_probe);
-    for (const auto& [line, key, row_id] : probe_by_node_[idx]) {
-      output_ += co_await store.count_matches(line, key);
-      co_await lookup.add(1);
-      (void)row_id;
+    const std::vector<PlacedRow>& rows = probe_by_node_[idx];
+    const auto line_at = [&rows](std::size_t j) { return rows[j].line; };
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      store.prefetch_ahead(i, rows.size(), line_at);
+      const PlacedRow& row = rows[i];
+      if (const auto matches = store.try_count_matches(row.line, row.key)) {
+        output_ += *matches;
+      } else {
+        output_ += co_await store.count_matches(row.line, row.key);
+      }
+      if (lookup.add(1)) co_await lookup.flush();
     }
     co_await lookup.flush();
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "core/hash_line_store.hpp"
@@ -235,6 +236,54 @@ TEST(HashLineStore, RemoteUpdateBatchesFillToMessageBlock) {
   // 25 updates at 10/block: 2 full blocks + 1 flush.
   EXPECT_EQ(store.updates_sent(), 25);
   EXPECT_EQ(w.cl->node(0).stats().counter("store.update_batches"), 3);
+}
+
+TEST(HashLineStore, ProbeBlockWithAMigratingLineTakesTheGeneralPath) {
+  // A block whose middle element hits a line under migration: that element
+  // parks on the line's migration trigger like probe() does, and the rest
+  // of the block is applied after the line settled at its new holder.
+  World w;
+  HashLineStore store(w.cl->node(0),
+                      w.config(SwapPolicy::kRemoteSwap, 2 * 24), &w.table);
+  std::map<std::string, std::uint32_t> final_counts;
+  Time migrated_at = -1;
+  Time block_done = -1;
+  drive(w, [&]() -> sim::Task<> {
+    for (Item i = 0; i < 4; ++i) {
+      co_await store.insert(i, pair_of(i, i + 100));
+    }
+    // Two lines fit: lines 0 and 1 were evicted, lines 2 and 3 resident.
+    EXPECT_EQ(store.line(0).where, HashLineStore::Where::kRemote);
+    EXPECT_EQ(store.line(3).where, HashLineStore::Where::kResident);
+    store.set_phase(HashLineStore::Phase::kCount);
+    auto migrate = [](HashLineStore& s, net::NodeId holder,
+                      Time& done) -> sim::Process {
+      co_await s.migrate_away(holder);
+      done = s.node().sim().now();
+    };
+    w.sim.spawn(migrate(store, store.line(0).holder, migrated_at));
+    // The migrator marked line 0 and now waits for its directive's reply.
+    co_await w.sim.timeout(usec(1));
+    EXPECT_EQ(store.line(0).where, HashLineStore::Where::kMigrating);
+
+    const std::vector<LineId> lines{3, 0, 2};
+    const std::vector<Itemset> itemsets{pair_of(3, 103), pair_of(0, 100),
+                                        pair_of(2, 102)};
+    co_await store.probe_block(lines, itemsets);
+    block_done = w.sim.now();
+    store.check_invariants();
+    co_await store.collect([&](const mining::CountedItemset& e) {
+      final_counts[e.items.to_string()] = e.count;
+    });
+  });
+  EXPECT_EQ(store.lines_migrated(), 1);
+  ASSERT_GE(migrated_at, 0);
+  EXPECT_GE(block_done, migrated_at);  // parked until the line settled
+  EXPECT_GT(store.pagefaults(), 0);    // then faulted it home
+  EXPECT_EQ(final_counts[pair_of(0, 100).to_string()], 1u);
+  EXPECT_EQ(final_counts[pair_of(1, 101).to_string()], 0u);
+  EXPECT_EQ(final_counts[pair_of(2, 102).to_string()], 1u);
+  EXPECT_EQ(final_counts[pair_of(3, 103).to_string()], 1u);
 }
 
 TEST(HashLineStore, EvictionsSpreadRoundRobinOverMemoryNodes) {

@@ -72,7 +72,8 @@ class ScriptedWorkload final : public Workload {
                   std::to_string(phase) + ":" + std::to_string(idx));
     // Participant idx works (idx + 1) ms in alpha, 1 ms in beta: the
     // barrier must stretch every phase window to the slowest participant.
-    co_await sim_.timeout(phase == 0 ? msec(idx + 1) : msec(1));
+    co_await sim_.timeout(
+        phase == 0 ? msec(static_cast<std::int64_t>(idx) + 1) : msec(1));
   }
   void check_invariants(std::size_t idx) override {
     log.push_back("invariants:" + std::to_string(idx));
@@ -295,7 +296,9 @@ TEST(CpuCharger, ChunkedChargesPreserveTheExactTotal) {
     // 2500 ops at 1 us each, flushed in chunks of 1024: three compute
     // awaits, but the total charged time is exactly 2500 us.
     CpuCharger cpu(node, usec(1), 1024);
-    for (int i = 0; i < 2500; ++i) co_await cpu.add(1);
+    for (int i = 0; i < 2500; ++i) {
+      if (cpu.add(1)) co_await cpu.flush();
+    }
     co_await cpu.flush();
     out = node.cluster().sim().now();
   };

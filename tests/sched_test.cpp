@@ -10,6 +10,9 @@
 #include <memory>
 #include <vector>
 
+#include "hpa/hpa.hpp"
+#include "mining/apriori.hpp"
+#include "mining/generator.hpp"
 #include "sched/arrivals.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/world.hpp"
@@ -121,7 +124,7 @@ TEST(Scheduler, SimultaneousArrivalsAdmitByPriorityThenSubmissionOrder) {
   }
   // Two concurrent swapping tenants on shared donors stay loss-free: no
   // congestion-induced false death verdicts (which would orphan lines).
-  for (std::size_t n = 1; n <= 4; ++n) {
+  for (net::NodeId n = 1; n <= 4; ++n) {
     EXPECT_EQ(world.cluster().node(n).stats().counter("store.suspicions"), 0)
         << "node " << n;
   }
@@ -315,6 +318,47 @@ TEST(Scheduler, SecondJobSeesFullCapacityAfterFirstCompletes) {
   EXPECT_EQ(scheduler.stats().reclaim_events, 0);
   EXPECT_GE(second_rec.admitted, first.finished);
   EXPECT_EQ(world.pool_donated_bytes(), 0);
+}
+
+TEST(Scheduler, SizeCappedHpaJobIsCheckedAgainstACappedReference) {
+  // At minsup 0.002 this database has large 3-itemsets, so an uncapped
+  // re-mine finds more large itemsets than a job stopped at max_k = 2
+  // mines. The job's exactness check must re-mine with the same cap.
+  const mining::TransactionDb db =
+      mining::QuestGenerator(mining::QuestParams::paper_experiment(0.01))
+          .generate();
+  constexpr double kMinSupport = 0.002;
+  mining::AprioriOptions capped;
+  capped.max_k = 2;
+  const std::size_t want = mining::apriori(db, kMinSupport, capped)
+                               .support.size();
+  ASSERT_LT(want, mining::apriori(db, kMinSupport).support.size());
+
+  sim::Simulation sim;
+  World world(sim, small_world(2, 1));
+  JobScheduler scheduler(world, guarded());
+  hpa::HpaConfig cfg;
+  cfg.app_nodes = 2;
+  cfg.shared_db = &db;
+  cfg.min_support = kMinSupport;
+  cfg.hash_lines = 20'000;
+  cfg.max_k = 2;
+  JobSpec spec;
+  spec.name = "hpa-k2";
+  spec.workload = "hpa";
+  spec.tenant = 1;
+  spec.slots = cfg.app_nodes;
+  spec.make = [cfg] { return hpa::make_hpa_job(cfg); };
+  scheduler.submit(std::move(spec));
+
+  world.start();
+  sim.spawn(scheduler.run());
+  sim.run();
+
+  const JobRecord& job = scheduler.jobs()[0];
+  ASSERT_EQ(job.state, JobState::kCompleted);
+  EXPECT_EQ(job.report.summary, "large=" + std::to_string(want));
+  EXPECT_TRUE(job.report.exact);
 }
 
 TEST(Arrivals, PoissonTraceIsDeterministicSortedAndSeedSensitive) {

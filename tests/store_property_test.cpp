@@ -1,10 +1,18 @@
-// Property test for HashLineStore: random op sequences against a reference
+// Property tests for HashLineStore: random op sequences against a reference
 // model. Whatever the swap policy, eviction policy, limit, and probe
 // pattern, the collected counts must match a plain in-memory table, and the
 // resident footprint must respect the limit between operations.
+//
+// Each seeded script can be driven two ways: the count phase as successive
+// probe() calls, or as message blocks through probe_block(). The two must
+// be indistinguishable: same counts, store/backend/node counters, and
+// final virtual time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -21,14 +29,42 @@ namespace {
 using mining::Item;
 using mining::Itemset;
 
-using Case = std::tuple<SwapPolicy, EvictionPolicy, std::int64_t /*limit*/,
-                        std::uint64_t /*seed*/>;
+struct Scenario {
+  SwapPolicy policy = SwapPolicy::kNoLimit;
+  EvictionPolicy eviction = EvictionPolicy::kLru;
+  std::int64_t limit = -1;
+  std::uint64_t seed = 1;
+  int replicate_k = 0;
+  /// Update batches come due every message_block_bytes / 16 ops.
+  std::int64_t message_block_bytes = 256;
+  int probes = 600;
+  /// Migrate donors' lines away, round robin, while the count phase runs.
+  bool migrate = false;
+  std::int64_t tiered_budget = -1;
+};
 
-class StorePropertyTest : public ::testing::TestWithParam<Case> {};
+enum class Drive { kPerOp, kBlock };
 
-TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel) {
-  const auto [policy, eviction, limit, seed] = GetParam();
+struct Outcome {
+  bool finished = false;
+  std::map<std::string, std::uint32_t> expected;  // reference model
+  std::map<std::string, std::uint32_t> counts;    // collected
+  std::size_t size = 0;
+  std::int64_t total_bytes = 0;
+  std::map<std::string, std::int64_t> store_counters;  // store.* + backend.*
+  std::vector<std::map<std::string, std::int64_t>> node_counters;
+  std::int64_t updates_mirrored = 0;
+  std::int64_t lost_update_ops = 0;
+  Time count_done = -1;  // virtual time the count phase finished
+  Time finished_at = -1;
+  // Per-op drive only: probes past the first of their block whose line was
+  // migrating or on disk when issued. The drives share one timeline, so
+  // these are the block drive's slow-path elements inside a block.
+  std::int64_t migrating_mid_block = 0;
+  std::int64_t disk_mid_block = 0;
+};
 
+Outcome run_script(const Scenario& sc, Drive drive) {
   sim::Simulation sim;
   cluster::ClusterConfig ccfg;
   ccfg.num_nodes = 4;  // app node 0, memory nodes 1..3
@@ -45,17 +81,27 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel) {
   constexpr std::size_t kLines = 16;
   HashLineStore::Config cfg;
   cfg.num_lines = kLines;
-  cfg.memory_limit_bytes = limit;
-  cfg.policy = policy;
-  cfg.eviction = eviction;
-  cfg.message_block_bytes = 256;
+  cfg.memory_limit_bytes = sc.limit;
+  cfg.policy = sc.policy;
+  cfg.eviction = sc.eviction;
+  cfg.message_block_bytes = sc.message_block_bytes;
+  cfg.replicate_k = sc.replicate_k;
+  cfg.tiered_remote_budget_bytes = sc.tiered_budget;
   HashLineStore store(cl.node(0), cfg, &table);
 
-  // Reference model: (line, itemset) -> count.
-  std::map<std::pair<LineId, std::string>, std::uint32_t> model;
-
-  Pcg32 rng(seed);
-  bool finished = false;
+  Outcome out;
+  Pcg32 rng(sc.seed);
+  Pcg32 block_rng(sc.seed ^ 0xb10c);
+  bool migrator_done = !sc.migrate;
+  bool counted = false;
+  auto migrator = [&]() -> sim::Task<> {
+    for (int round = 0; !counted && round < 12; ++round) {
+      co_await sim.timeout(usec(700));
+      co_await store.migrate_away(static_cast<net::NodeId>(1 + round % 3));
+      store.check_invariants();
+    }
+    migrator_done = true;
+  };
   auto script = [&]() -> sim::Task<> {
     // Build phase: 120 inserts into random lines (some duplicates of item
     // pairs in different lines are fine; within a line itemsets differ).
@@ -66,7 +112,7 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel) {
       const Itemset s{uid, uid + 5000};
       ++uid;
       per_line[static_cast<std::size_t>(line)].push_back(s);
-      model[{line, s.to_string()}] = 0;
+      out.expected[s.to_string()] = 0;
       co_await store.insert(line, s);
       store.check_invariants();
       // The swap unit is a whole line and the line being inserted into is
@@ -77,55 +123,100 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel) {
           << "resident " << store.resident_bytes() << " line "
           << store.line_bytes(line);
     }
-    // Count phase: 600 probes; ~70% hit a registered candidate.
-    store.set_phase(HashLineStore::Phase::kCount);
-    for (int i = 0; i < 600; ++i) {
+    // Count phase: ~70% of probes hit a registered candidate, the rest
+    // probe a non-candidate (a miss everywhere).
+    std::vector<LineId> lines;
+    std::vector<Itemset> itemsets;
+    for (int i = 0; i < sc.probes; ++i) {
       const auto line = static_cast<LineId>(rng.below(kLines));
       auto& candidates = per_line[static_cast<std::size_t>(line)];
+      lines.push_back(line);
       if (!candidates.empty() && !rng.bernoulli(0.3)) {
         const Itemset& s = candidates[rng.below(
             static_cast<std::uint32_t>(candidates.size()))];
-        ++model[{line, s.to_string()}];
-        co_await store.probe(line, s);
-        store.check_invariants();
+        ++out.expected[s.to_string()];
+        itemsets.push_back(s);
       } else {
-        // Probe a non-candidate: must be a miss everywhere.
         const Item m = 20000 + rng.below(50);
-        const Itemset miss{m, m + 30000};
-        co_await store.probe(line, miss);
+        itemsets.push_back(Itemset{m, m + 30000});
       }
     }
-    // Collect and compare exactly.
-    std::map<std::pair<LineId, std::string>, std::uint32_t> got;
-    LineId current = -1;
-    (void)current;
-    co_await store.collect([&](const mining::CountedItemset& e) {
-      // Locate the entry in the model by (any line, itemset string): line
-      // ids are unique per itemset by construction above.
-      for (const auto& [key, count] : model) {
-        if (key.second == e.items.to_string()) {
-          got[key] = e.count;
-          break;
+    store.set_phase(HashLineStore::Phase::kCount);
+    if (sc.migrate) {
+      sim.spawn([](decltype(migrator)& m) -> sim::Process {
+        co_await m();
+      }(migrator));
+    }
+    const std::span<const LineId> all_lines(lines);
+    const std::span<const Itemset> all_itemsets(itemsets);
+    for (std::size_t at = 0; at < lines.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + block_rng.below(96), lines.size() - at);
+      if (drive == Drive::kBlock) {
+        co_await store.probe_block(all_lines.subspan(at, n),
+                                   all_itemsets.subspan(at, n));
+      } else {
+        for (std::size_t i = at; i < at + n; ++i) {
+          const HashLineStore::Where where = store.line(lines[i]).where;
+          if (i > at && where == HashLineStore::Where::kMigrating) {
+            ++out.migrating_mid_block;
+          }
+          if (i > at && where == HashLineStore::Where::kDisk) {
+            ++out.disk_mid_block;
+          }
+          co_await store.probe(lines[i], itemsets[i]);
+          store.check_invariants();
         }
       }
-    });
-    EXPECT_EQ(got.size(), model.size());
-    for (const auto& [key, count] : model) {
-      const auto it = got.find(key);
-      EXPECT_TRUE(it != got.end()) << key.second;
-      if (it != got.end()) {
-        EXPECT_EQ(it->second, count) << key.second;
-      }
+      store.check_invariants();
+      at += n;
     }
-    finished = true;
+    out.count_done = sim.now();
+    counted = true;
+    // Collect only after the migration settled (collect waits for in-flight
+    // lines itself, but a directive issued after its last settle would
+    // extend the test beyond what migrate_away promises).
+    while (!migrator_done) {
+      co_await sim.timeout(msec(1));
+    }
+    co_await store.collect([&](const mining::CountedItemset& e) {
+      out.counts[e.items.to_string()] = e.count;
+    });
+    out.finished_at = sim.now();
+    out.finished = true;
   };
-  auto proc = [](decltype(script)& f, bool&) -> sim::Process { co_await f(); };
-  sim.spawn(proc(script, finished));
+  auto proc = [](decltype(script)& f) -> sim::Process { co_await f(); };
+  sim.spawn(proc(script));
   sim.run_until(sec(600));
-  ASSERT_TRUE(finished) << "store script did not finish";
 
-  EXPECT_EQ(store.size(), 120u);
-  EXPECT_EQ(store.total_bytes(), 120 * 24);
+  out.size = store.size();
+  out.total_bytes = store.total_bytes();
+  out.store_counters = store.stats().counters();
+  for (std::size_t n = 0; n < cl.size(); ++n) {
+    out.node_counters.push_back(
+        cl.node(static_cast<net::NodeId>(n)).stats().counters());
+  }
+  out.updates_mirrored = store.failover().updates_mirrored;
+  out.lost_update_ops = store.failover().lost_update_ops;
+  return out;
+}
+
+void expect_matches_model(const Outcome& o) {
+  ASSERT_TRUE(o.finished) << "store script did not finish";
+  EXPECT_EQ(o.counts, o.expected);
+  EXPECT_EQ(o.size, 120u);
+  EXPECT_EQ(o.total_bytes, 120 * 24);
+}
+
+using Case = std::tuple<SwapPolicy, EvictionPolicy, std::int64_t /*limit*/,
+                        std::uint64_t /*seed*/>;
+
+class StorePropertyTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel) {
+  Scenario sc;
+  std::tie(sc.policy, sc.eviction, sc.limit, sc.seed) = GetParam();
+  expect_matches_model(run_script(sc, Drive::kPerOp));
 }
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
@@ -158,6 +249,104 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::int64_t{-1}),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{7})),
     case_name);
+
+// ---------------------------------------------------------------------------
+// Drive mode: probe_block against successive probe() calls.
+// ---------------------------------------------------------------------------
+
+struct DriveCase {
+  const char* name;
+  Scenario scenario;
+};
+
+class BlockDriveTest
+    : public ::testing::TestWithParam<std::tuple<DriveCase, std::uint64_t>> {
+};
+
+TEST_P(BlockDriveTest, BlockDriveMatchesPerOpDrive) {
+  Scenario sc = std::get<0>(GetParam()).scenario;
+  sc.seed = std::get<1>(GetParam());
+  const Outcome per_op = run_script(sc, Drive::kPerOp);
+  const Outcome block = run_script(sc, Drive::kBlock);
+  expect_matches_model(per_op);
+  expect_matches_model(block);
+
+  EXPECT_EQ(block.counts, per_op.counts);
+  EXPECT_EQ(block.store_counters, per_op.store_counters);
+  EXPECT_EQ(block.node_counters, per_op.node_counters);
+  EXPECT_EQ(block.updates_mirrored, per_op.updates_mirrored);
+  EXPECT_EQ(block.lost_update_ops, per_op.lost_update_ops);
+  EXPECT_EQ(block.count_done, per_op.count_done);
+  EXPECT_EQ(block.finished_at, per_op.finished_at);
+
+  // The scripts reach the paths they were built for.
+  if (sc.migrate) {
+    EXPECT_GT(block.store_counters.at("store.lines_migrated"), 0);
+    EXPECT_GT(per_op.migrating_mid_block, 0);
+  }
+  if (sc.policy == SwapPolicy::kDiskSwap ||
+      sc.policy == SwapPolicy::kTiered) {
+    EXPECT_GT(per_op.disk_mid_block, 0);
+  }
+  if (sc.replicate_k > 0 && sc.policy == SwapPolicy::kRemoteUpdate) {
+    EXPECT_GT(block.updates_mirrored, 0);
+  }
+  if (sc.message_block_bytes == 4096 &&
+      sc.policy == SwapPolicy::kRemoteUpdate) {
+    // More than 3 x 256 ops: some holder crossed a batch-due boundary.
+    EXPECT_GT(block.store_counters.at("store.updates_sent"), 3 * 256);
+  }
+}
+
+Scenario scenario(SwapPolicy policy, EvictionPolicy eviction,
+                  std::int64_t limit) {
+  Scenario sc;
+  sc.policy = policy;
+  sc.eviction = eviction;
+  sc.limit = limit;
+  return sc;
+}
+
+std::vector<DriveCase> drive_cases() {
+  using E = EvictionPolicy;
+  using P = SwapPolicy;
+  constexpr std::int64_t kTight = 24 * 3;
+  std::vector<DriveCase> cases = {
+      {"no_limit", scenario(P::kNoLimit, E::kLru, -1)},
+      {"disk_swap_lru", scenario(P::kDiskSwap, E::kLru, kTight)},
+      {"disk_swap_random", scenario(P::kDiskSwap, E::kRandom, kTight)},
+      {"remote_swap_lru", scenario(P::kRemoteSwap, E::kLru, kTight)},
+      {"remote_swap_migrate", scenario(P::kRemoteSwap, E::kLru, kTight)},
+      {"remote_update_lru", scenario(P::kRemoteUpdate, E::kLru, kTight)},
+      {"remote_update_fifo_4k", scenario(P::kRemoteUpdate, E::kFifo, kTight)},
+      {"remote_update_rep1", scenario(P::kRemoteUpdate, E::kLru, kTight)},
+      {"remote_update_rep1_4k", scenario(P::kRemoteUpdate, E::kLru, kTight)},
+      {"remote_update_migrate", scenario(P::kRemoteUpdate, E::kLru, kTight)},
+      {"remote_update_rep1_migrate",
+       scenario(P::kRemoteUpdate, E::kLru, kTight)},
+      {"tiered_spill", scenario(P::kTiered, E::kLru, kTight)},
+  };
+  for (DriveCase& c : cases) {
+    const std::string name = c.name;
+    if (name.find("_4k") != std::string::npos) {
+      c.scenario.message_block_bytes = 4096;
+      c.scenario.probes = 2400;
+    }
+    if (name.find("rep1") != std::string::npos) c.scenario.replicate_k = 1;
+    if (name.find("migrate") != std::string::npos) c.scenario.migrate = true;
+    if (name == "tiered_spill") c.scenario.tiered_budget = 24 * 24;
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drives, BlockDriveTest,
+    ::testing::Combine(::testing::ValuesIn(drive_cases()),
+                       ::testing::Values(std::uint64_t{1}, std::uint64_t{2})),
+    [](const auto& param_info) {
+      return std::string(std::get<0>(param_info.param).name) + "_s" +
+             std::to_string(std::get<1>(param_info.param));
+    });
 
 }  // namespace
 }  // namespace rms::core

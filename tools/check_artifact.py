@@ -356,13 +356,37 @@ def pass_digest(p):
     }
 
 
-def run_digest(run):
-    return {
+# A scheduled job's timeline in the multi-tenant artifact's "scheduler"
+# section: admission, completion, and how much donated memory was revoked.
+_JOB_DIGEST_KEYS = ("name", "state", "arrival_s", "admitted_s",
+                    "finished_s", "reclaimed_bytes")
+
+
+def run_digest(run, jobs=None):
+    """The virtual-time content of one run. A job-marked run (one section
+    per scheduled job) also carries its scheduler record, looked up by job
+    id in `jobs`; a run from a --dump-digest file already holds it."""
+    digest = {
         "label": run.get("label"),
         "completed": run.get("completed"),
         "total_time_s": run.get("total_time_s"),
         "passes": [pass_digest(p) for p in run.get("passes", [])],
     }
+    job = run.get("job")
+    if isinstance(job, dict):
+        digest["job"] = job
+    elif job is not None and jobs and job in jobs:
+        digest["job"] = {k: jobs[job].get(k) for k in _JOB_DIGEST_KEYS}
+    return digest
+
+
+def doc_digest(doc):
+    """Run digests of a whole artifact or digest file, in run order."""
+    sched = doc.get("scheduler")
+    jobs = {}
+    if isinstance(sched, dict):
+        jobs = {j.get("id"): j for j in sched.get("jobs", [])}
+    return [run_digest(r, jobs) for r in doc.get("runs", [])]
 
 
 def check_lockstep(artifact_path, ref_path):
@@ -376,8 +400,8 @@ def check_lockstep(artifact_path, ref_path):
     ref = load(ref_path, "lockstep reference")
     if doc is None or ref is None:
         return
-    got = [run_digest(r) for r in doc.get("runs", [])]
-    want = [run_digest(r) for r in ref.get("runs", [])]
+    got = doc_digest(doc)
+    want = doc_digest(ref)
     if not expect(len(got) == len(want),
                   f"lockstep: {len(got)} run(s) vs reference's "
                   f"{len(want)}"):
@@ -390,6 +414,10 @@ def check_lockstep(artifact_path, ref_path):
         for key in ("completed", "total_time_s"):
             expect(g[key] == w[key],
                    f"{who}: {key} {g[key]!r} != reference {w[key]!r}")
+        if "job" in g or "job" in w:
+            expect(g.get("job") == w.get("job"),
+                   f"{who}: scheduler record {g.get('job')!r} != "
+                   f"reference {w.get('job')!r}")
         if not expect(len(g["passes"]) == len(w["passes"]),
                       f"{who}: {len(g['passes'])} pass(es) vs reference's "
                       f"{len(w['passes'])}"):
@@ -409,7 +437,7 @@ def dump_digest(artifact_path, out_path):
     if doc is None:
         return
     digest = {"schema": "rmswap.lockstep_digest/v1",
-              "runs": [run_digest(r) for r in doc.get("runs", [])]}
+              "runs": doc_digest(doc)}
     with open(out_path, "w", encoding="utf-8") as f:
         json.dump(digest, f, indent=1)
         f.write("\n")
