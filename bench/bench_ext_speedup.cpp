@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   Time base_nolimit = 0;
   Time base_ru = 0;
-  for (std::size_t nodes : {1, 2, 4, 8, 16}) {
+  for (std::size_t nodes : {1u, 2u, 4u, 8u, 16u}) {
     hpa::HpaConfig cfg = env.config();
     cfg.app_nodes = nodes;
     cfg.partition_weights.clear();  // skew emulation is 8-node specific

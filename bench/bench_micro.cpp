@@ -158,60 +158,35 @@ void BM_HashLineProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_HashLineProbe);
 
-// Count-phase store shaped like one hpa-nolimit node (800,000 lines and
-// 4.9 M candidates over 8 nodes): ~100 k lines of ~6 entries, probed in
+// Store shaped like one hpa-nolimit node (800,000 lines and 4.9 M
+// candidates over 8 nodes): ~100 k lines of ~6 entries, built and probed in
 // random line order. The remote-update variant keeps ~1/8 of the
 // candidate bytes resident, so most probes become one-way update ops.
 class StoreBench {
  public:
   static constexpr std::size_t kLines = 100'000;
   static constexpr std::size_t kEntriesPerLine = 6;
+  static constexpr std::size_t kInserts = kLines * kEntriesPerLine;
   static constexpr std::size_t kProbes = 1 << 16;
   static constexpr std::size_t kBlock = 341;  // 2-itemsets per 4 KB message
 
-  explicit StoreBench(core::SwapPolicy policy) {
-    cluster::ClusterConfig ccfg;
-    ccfg.num_nodes = 4;  // store on node 0, memory servers on 1..3
-    cluster_ = std::make_unique<cluster::Cluster>(sim_, ccfg);
-    broker_ = std::make_unique<placement::MemoryBroker>(
-        std::vector<net::NodeId>{1, 2, 3});
-    for (net::NodeId id = 1; id <= 3; ++id) {
-      servers_.push_back(
-          std::make_unique<core::MemoryServer>(cluster_->node(id)));
-      sim_.spawn(servers_.back()->serve());
-      broker_->update(core::AvailabilityInfo{id, std::int64_t{1} << 30, 1}, 0);
-    }
-    core::HashLineStore::Config cfg;
-    cfg.num_lines = kLines;
-    cfg.policy = policy;
-    if (policy != core::SwapPolicy::kNoLimit) {
-      cfg.memory_limit_bytes =
-          static_cast<std::int64_t>(kLines * kEntriesPerLine) *
-          mining::Itemset::kAccountedBytes / 8;
-    }
-    store_ = std::make_unique<core::HashLineStore>(cluster_->node(0), cfg,
-                                                   broker_.get());
-
+  /// Draws the inserts and probes; the world and store come from reset().
+  explicit StoreBench(core::SwapPolicy policy) : policy_(policy) {
     // Candidates: unique 2-itemsets, kEntriesPerLine per line.
     Pcg32 rng(0x5704e, 7);
     std::vector<std::vector<mining::Itemset>> per_line(kLines);
-    std::vector<std::pair<core::LineId, mining::Itemset>> inserts;
     for (std::size_t line = 0; line < kLines; ++line) {
       for (std::size_t e = 0; e < kEntriesPerLine; ++e) {
         const auto a = static_cast<mining::Item>(line);
         const mining::Itemset s{a, a + 1 + rng.below(1u << 20)};
         per_line[line].push_back(s);
-        inserts.emplace_back(static_cast<core::LineId>(line), s);
+        inserts_.emplace_back(static_cast<core::LineId>(line), s);
       }
     }
-    for (std::size_t i = inserts.size(); i > 1; --i) {
-      std::swap(inserts[i - 1],
-                inserts[rng.below(static_cast<std::uint32_t>(i))]);
+    for (std::size_t i = inserts_.size(); i > 1; --i) {
+      std::swap(inserts_[i - 1],
+                inserts_[rng.below(static_cast<std::uint32_t>(i))]);
     }
-    run([&]() -> sim::Task<> {
-      for (const auto& [line, s] : inserts) co_await store_->insert(line, s);
-    });
-    store_->set_phase(core::HashLineStore::Phase::kCount);
     for (std::size_t i = 0; i < kProbes; ++i) {
       const std::uint32_t line = rng.below(kLines);
       lines_.push_back(static_cast<core::LineId>(line));
@@ -219,11 +194,56 @@ class StoreBench {
     }
   }
 
+  /// A fresh world (memory servers on nodes 1..3) with an empty store.
+  void reset() {
+    world_.reset();
+    world_ = std::make_unique<World>();
+    World& w = *world_;
+    cluster::ClusterConfig ccfg;
+    ccfg.num_nodes = 4;  // store on node 0, memory servers on 1..3
+    w.cluster = std::make_unique<cluster::Cluster>(w.sim, ccfg);
+    w.broker = std::make_unique<placement::MemoryBroker>(
+        std::vector<net::NodeId>{1, 2, 3});
+    for (net::NodeId id = 1; id <= 3; ++id) {
+      w.servers.push_back(
+          std::make_unique<core::MemoryServer>(w.cluster->node(id)));
+      w.sim.spawn(w.servers.back()->serve());
+      w.broker->update(core::AvailabilityInfo{id, std::int64_t{1} << 30, 1},
+                       0);
+    }
+    core::HashLineStore::Config cfg;
+    cfg.num_lines = kLines;
+    cfg.policy = policy_;
+    if (policy_ != core::SwapPolicy::kNoLimit) {
+      cfg.memory_limit_bytes = static_cast<std::int64_t>(kInserts) *
+                               mining::Itemset::kAccountedBytes / 8;
+    }
+    w.store = std::make_unique<core::HashLineStore>(w.cluster->node(0), cfg,
+                                                    w.broker.get());
+  }
+
+  /// Every insert in random line order, as the workload build loops make
+  /// them (announced to size_lines() first when `sized`); then the store
+  /// enters its count phase.
+  void build(bool sized) {
+    core::HashLineStore& store = *world_->store;
+    run([&]() -> sim::Task<> {
+      const auto line_at = [&](std::size_t j) { return inserts_[j].first; };
+      if (sized) store.size_lines(inserts_.size(), line_at);
+      for (std::size_t i = 0; i < inserts_.size(); ++i) {
+        store.prefetch_ahead(i, inserts_.size(), line_at);
+        const auto& [line, s] = inserts_[i];
+        if (!store.try_insert(line, s)) co_await store.insert(line, s);
+      }
+    });
+    store.set_phase(core::HashLineStore::Phase::kCount);
+  }
+
   /// One pass over the probe list, one co_await probe() per element.
   void probe_each() {
     run([&]() -> sim::Task<> {
       for (std::size_t i = 0; i < kProbes; ++i) {
-        co_await store_->probe(lines_[i], itemsets_[i]);
+        co_await world_->store->probe(lines_[i], itemsets_[i]);
       }
     });
   }
@@ -235,30 +255,68 @@ class StoreBench {
       const std::span<const mining::Itemset> itemsets(itemsets_);
       for (std::size_t at = 0; at < kProbes; at += kBlock) {
         const std::size_t n = std::min(kBlock, kProbes - at);
-        co_await store_->probe_block(lines.subspan(at, n),
-                                     itemsets.subspan(at, n));
+        co_await world_->store->probe_block(lines.subspan(at, n),
+                                            itemsets.subspan(at, n));
       }
     });
   }
 
-  const core::HashLineStore& store() const { return *store_; }
+  const core::HashLineStore& store() const { return *world_->store; }
 
  private:
+  struct World {
+    // Frames go first, while the servers they reference still exist.
+    ~World() { sim.shutdown(); }
+    sim::Simulation sim;
+    std::unique_ptr<cluster::Cluster> cluster;
+    std::unique_ptr<placement::MemoryBroker> broker;
+    std::vector<std::unique_ptr<core::MemoryServer>> servers;
+    std::unique_ptr<core::HashLineStore> store;
+  };
+
   template <typename Body>
   void run(Body body) {
     auto proc = [](Body& b) -> sim::Process { co_await b(); };
-    sim_.spawn(proc(body));
-    sim_.run();
+    world_->sim.spawn(proc(body));
+    world_->sim.run();
   }
 
-  sim::Simulation sim_;
-  std::unique_ptr<cluster::Cluster> cluster_;
-  std::unique_ptr<placement::MemoryBroker> broker_;
-  std::vector<std::unique_ptr<core::MemoryServer>> servers_;
-  std::unique_ptr<core::HashLineStore> store_;
+  core::SwapPolicy policy_;
+  std::unique_ptr<World> world_;
+  std::vector<std::pair<core::LineId, mining::Itemset>> inserts_;
   std::vector<core::LineId> lines_;
   std::vector<mining::Itemset> itemsets_;
 };
+
+void BM_StoreBuild(benchmark::State& state, core::SwapPolicy policy,
+                   bool sized) {
+  StoreBench bench(policy);
+  for (auto _ : state) {
+    state.PauseTiming();
+    bench.reset();  // tears the previous world down untimed
+    state.ResumeTiming();
+    bench.build(sized);
+    benchmark::DoNotOptimize(bench.store().size());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(StoreBench::kInserts));
+  state.counters["per_insert"] = benchmark::Counter(
+      static_cast<double>(StoreBench::kInserts),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_StoreBuild, no_limit, core::SwapPolicy::kNoLimit, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_StoreBuild, no_limit_sized, core::SwapPolicy::kNoLimit,
+                  true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_StoreBuild, remote_update,
+                  core::SwapPolicy::kRemoteUpdate, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_StoreBuild, remote_update_sized,
+                  core::SwapPolicy::kRemoteUpdate, true)
+    ->Unit(benchmark::kMillisecond);
 
 void report_ns_per_probe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
@@ -272,6 +330,8 @@ void report_ns_per_probe(benchmark::State& state) {
 
 void BM_StoreProbe(benchmark::State& state, core::SwapPolicy policy) {
   StoreBench bench(policy);
+  bench.reset();
+  bench.build(false);
   for (auto _ : state) {
     bench.probe_each();
     benchmark::DoNotOptimize(bench.store().size());
@@ -285,6 +345,8 @@ BENCHMARK_CAPTURE(BM_StoreProbe, remote_update,
 
 void BM_StoreProbeBlock(benchmark::State& state, core::SwapPolicy policy) {
   StoreBench bench(policy);
+  bench.reset();
+  bench.build(false);
   for (auto _ : state) {
     bench.probe_blocks();
     benchmark::DoNotOptimize(bench.store().size());

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   if (r.passes.size() >= 2) {
     const std::int64_t l1 = r.passes[0].large;
     std::printf("\npass-2 explosion: C2 = C(|L1|,2) = %lld (paper: 522,753)\n",
-                static_cast<std::int64_t>(l1 * (l1 - 1) / 2));
+                static_cast<long long>(l1 * (l1 - 1) / 2));
   }
   return 0;
 }

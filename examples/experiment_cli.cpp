@@ -1,8 +1,9 @@
 // experiment_cli: the full configuration surface of the system as one
 // command-line tool. Every knob the paper's experiments turn (and the
-// ablation extensions add) is exposed, so new experiments don't need code:
+// ablation extensions add) is exposed, so new experiments don't need code
+// (one command line, wrapped here):
 //
-//   $ experiment_cli --scale 0.05 --limit-mb 13 --policy remote-update \
+//   $ experiment_cli --scale 0.05 --limit-mb 13 --policy remote-update
 //       --memory-nodes 4 --withdraw 0@30s --withdraw 1@45s --csv run.csv
 #include <cstdio>
 #include <string>

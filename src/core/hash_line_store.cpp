@@ -24,6 +24,8 @@ HashLineStore::HashLineStore(cluster::Node& node, Config config,
                   "remote policies need a placement::MemoryBroker");
   }
   lines_.resize(config_.num_lines);
+  touch_lru_ = config_.eviction == EvictionPolicy::kLru &&
+               config_.memory_limit_bytes >= 0;
   pagefaults_ = &stats_.slot("store.pagefaults");
   swap_outs_ = &stats_.slot("store.swap_outs");
   stats_.slot("store.updates_sent");
@@ -162,7 +164,7 @@ void HashLineStore::lru_remove(LineId id) {
 }
 
 void HashLineStore::lru_touch(LineId id) {
-  if (config_.eviction != EvictionPolicy::kLru) return;  // FIFO/Random
+  if (!touch_lru_) return;  // FIFO/Random, or a store that cannot evict
   if (lru_head_ == id) return;
   // Relink to the front; residency-vector position is order-independent.
   Line& l = line(id);
@@ -284,6 +286,13 @@ void HashLineStore::append_resident(LineId id,
   Line& l = line(id);
   // Invariant: a line is in the LRU list iff it is resident and non-empty.
   const bool was_empty = (l.bytes == 0);
+  // A sized line allocates its entry array once, at the announced final
+  // count: on its first insert, or on the first insert after a fault-in
+  // brought back a tight copy. Unsized lines grow by doubling.
+  if (l.entries.size() == l.entries.capacity() &&
+      l.final_entries > l.entries.size()) {
+    l.entries.reserve(l.final_entries);
+  }
   l.entries.push_back(mining::CountedItemset{itemset, 0});
   l.bytes += mining::Itemset::kAccountedBytes;
   resident_bytes_ += mining::Itemset::kAccountedBytes;

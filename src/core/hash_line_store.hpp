@@ -40,7 +40,9 @@
 // as a one-way update — runs as a plain synchronous step (try_insert,
 // try_count_matches, the step inside probe_block). The coroutine
 // operations are built on those steps and suspend only on the slow path:
-// migration waits, faults, evictions and due update flushes.
+// migration waits, faults, evictions and due update flushes. A build loop
+// announces its inserts with size_lines, so every entry array is allocated
+// once at its final size; a store without a limit keeps no LRU order.
 #pragma once
 
 #include <cstdint>
@@ -144,6 +146,7 @@ class HashLineStore {
     Where where = Where::kResident;
     net::NodeId holder = -1;
     net::NodeId backup = -1;  // replica holder while remote (replicate_k)
+    std::uint32_t final_entries = 0;  // announced by size_lines (0: unsized)
     std::int64_t bytes = 0;  // accounted bytes, kept while away
     std::int32_t lru_prev = -1;
     std::int32_t lru_next = -1;
@@ -204,6 +207,20 @@ class HashLineStore {
   }
   static constexpr std::size_t kHeaderLookahead = 16;
   static constexpr std::size_t kBodyLookahead = 8;
+
+  /// Build-loop sizing: announce the `n` inserts a loop is about to make,
+  /// `line_at(j)` naming insert j's line (the accessor prefetch_ahead
+  /// takes). Each line then allocates its entry array once, at its final
+  /// count, instead of growing it by doubling. Changes no accounting, LRU
+  /// state or event; ids outside the table are skipped, and inserts beyond
+  /// the announced count still succeed.
+  template <typename LineAt>
+  void size_lines(std::size_t n, LineAt&& line_at) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto id = static_cast<std::size_t>(line_at(j));
+      if (id < lines_.size()) ++lines_[id].final_entries;
+    }
+  }
 
   /// Send all partially-filled update batches (end of counting phase).
   sim::Task<> flush_updates();
@@ -302,7 +319,8 @@ class HashLineStore {
  private:
   // Residency list over non-empty resident lines. Under LRU the head is
   // the most recently used line; under FIFO insertion order is kept
-  // (touch is a no-op); Random samples the side vector.
+  // (touch is a no-op); Random samples the side vector. A store without a
+  // limit never picks a victim, so touch is a no-op there too.
   void lru_push_front(LineId id);
   void lru_remove(LineId id);
   void lru_touch(LineId id);
@@ -322,7 +340,8 @@ class HashLineStore {
   Step probe_step(LineId id, const mining::Itemset& itemset);
   /// Count `itemset` in a resident line and refresh its LRU position.
   void probe_resident(LineId id, const mining::Itemset& itemset);
-  /// Append a candidate to a resident line, charging residency.
+  /// Append a candidate to a resident line, charging residency; a full
+  /// sized line first grows to its announced final count.
   void append_resident(LineId id, const mining::Itemset& itemset);
 
   void prefetch_header(LineId id) const {
@@ -343,6 +362,7 @@ class HashLineStore {
          at += 64) {
       __builtin_prefetch(entries + at);
     }
+    if (!touch_lru_) return;  // lru_touch leaves the neighbours alone
     if (l.lru_prev >= 0) {
       __builtin_prefetch(&lines_[static_cast<std::size_t>(l.lru_prev)]);
     }
@@ -364,6 +384,9 @@ class HashLineStore {
   Phase phase_ = Phase::kBuild;
 
   std::vector<Line> lines_;
+  // Use reorders the list only under LRU with a limit (fixed at
+  // construction; enforce_limit is pick_victim's only caller).
+  bool touch_lru_ = false;
   LineId lru_head_ = -1;
   LineId lru_tail_ = -1;
   std::vector<LineId> resident_vec_;  // for EvictionPolicy::kRandom

@@ -339,8 +339,17 @@ sim::Task<> HpaWorkload::pass1(std::size_t idx) {
 void HpaWorkload::generate_candidates(std::size_t k) {
   // Real HPA: every node scans the full candidate stream and keeps its own
   // share. The scan itself is identical on all nodes, so it is executed
-  // once here; each node is charged the full scan in virtual time.
+  // once here; each node is charged the full scan in virtual time. A
+  // counting scan of the same stream sizes each owner's share first, so the
+  // partition (4.9 M entries in the paper's pass 2) is allocated once.
+  std::vector<std::size_t> share(cfg_.app_nodes, 0);
+  mining::for_each_candidate(global_large_prev_, [&](const Itemset& c) {
+    ++share[owner_of_line(global_line(c))];
+  });
   cand_by_owner_.assign(cfg_.app_nodes, {});
+  for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
+    cand_by_owner_[i].reserve(share[i]);
+  }
   total_candidates_ = 0;
   mining::for_each_candidate(global_large_prev_, [&](const Itemset& c) {
     ++total_candidates_;
@@ -391,6 +400,7 @@ sim::Task<> HpaWorkload::build_store(std::size_t idx, std::size_t k) {
   CpuCharger charge(node, costs.per_probe);
   auto& own = cand_by_owner_[idx];
   const auto line_at = [&own](std::size_t j) { return own[j].first; };
+  store.size_lines(own.size(), line_at);
   for (std::size_t i = 0; i < own.size(); ++i) {
     store.prefetch_ahead(i, own.size(), line_at);
     const auto& [line, itemset] = own[i];

@@ -1,5 +1,7 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
+
 #include "sim/process.hpp"
 
 namespace rms::sim {
@@ -36,6 +38,12 @@ void Simulation::call_at(Time at, std::function<void()> fn) {
 }
 
 void Simulation::adopt(std::shared_ptr<ProcessState> st) {
+  if (processes_.size() >= compact_at_) {
+    // A finished process's frame is gone already; its record only keeps
+    // the control block alive. Stable, so shutdown order is unchanged.
+    std::erase_if(processes_, [](const auto& p) { return p->done; });
+    compact_at_ = std::max(kCompactFloor, 2 * processes_.size());
+  }
   processes_.push_back(std::move(st));
 }
 

@@ -81,6 +81,12 @@ class Simulation {
   /// Number of events executed so far (for kernel tests and budgeting).
   std::uint64_t executed_events() const { return executed_; }
 
+  /// Spawned-process records still held: every live process, plus finished
+  /// ones not yet dropped. Finished records are dropped whenever the list
+  /// reaches max(kCompactFloor, twice the records kept last time).
+  std::size_t tracked_processes() const { return processes_.size(); }
+  static constexpr std::size_t kCompactFloor = 1024;
+
  private:
   friend class Process;
 
@@ -100,7 +106,9 @@ class Simulation {
   void dispatch(Event& ev);
 
   // Spawned-process bookkeeping so suspended frames are reclaimed at
-  // teardown (servers waiting on channels when the run ends).
+  // teardown (servers waiting on channels when the run ends), in spawn
+  // order. Finished processes' records are dropped whenever the list
+  // doubles: one transfer process is spawned per network message.
   struct ProcessState;
   void adopt(std::shared_ptr<ProcessState> st);
 
@@ -110,6 +118,7 @@ class Simulation {
   std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<std::shared_ptr<ProcessState>> processes_;
+  std::size_t compact_at_ = kCompactFloor;
 };
 
 }  // namespace rms::sim

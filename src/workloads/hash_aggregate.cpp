@@ -188,6 +188,7 @@ sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
   CpuCharger charge(node, costs.per_probe);
   const auto& groups = groups_by_owner_[idx];
   const auto line_at = [&groups](std::size_t j) { return groups[j].first; };
+  store.size_lines(groups.size(), line_at);
   for (std::size_t i = 0; i < groups.size(); ++i) {
     store.prefetch_ahead(i, groups.size(), line_at);
     const core::LineId line = groups[i].first;

@@ -115,6 +115,7 @@ class HashJoinWorkload final : public runtime::Workload {
     CpuCharger parse(node, node.costs().per_tx_parse);
     const std::vector<PlacedRow>& rows = build_by_node_[idx];
     const auto line_at = [&rows](std::size_t j) { return rows[j].line; };
+    store.size_lines(rows.size(), line_at);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       store.prefetch_ahead(i, rows.size(), line_at);
       const PlacedRow& row = rows[i];

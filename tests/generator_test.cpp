@@ -34,7 +34,9 @@ TEST(QuestGenerator, TransactionsAreSortedUniqueAndInRange) {
     ASSERT_FALSE(tx.empty());
     for (std::size_t i = 0; i < tx.size(); ++i) {
       EXPECT_LT(tx[i], 200u);
-      if (i > 0) EXPECT_LT(tx[i - 1], tx[i]);
+      if (i > 0) {
+        EXPECT_LT(tx[i - 1], tx[i]);
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/rng.hpp"
 #include "core/hash_line_store.hpp"
 #include "core/memory_server.hpp"
 #include "sim/process.hpp"
@@ -396,6 +397,117 @@ TEST(HashLineStore, ProbeOfNonCandidateIsMissEverywhere) {
         [&](const mining::CountedItemset& e) { total += e.count; });
   });
   EXPECT_EQ(total, 0u);
+}
+
+TEST(HashLineStore, SizedBuildLeavesNoSlackInEntryArrays) {
+  // After size_lines announced the build, every entry array is allocated
+  // at its line's final count. Under a limit line 0 is evicted after two
+  // inserts and faulted home for its last three: remote memory returns a
+  // tight copy, which grows once more, straight to the final count.
+  const std::vector<LineId> lines{0, 0, 1, 1, 2, 3, 1, 2, 3, 0, 0, 0};
+  for (const auto& [policy, limit] :
+       {std::pair{SwapPolicy::kNoLimit, std::int64_t{-1}},
+        std::pair{SwapPolicy::kDiskSwap, std::int64_t{4 * 24}},
+        std::pair{SwapPolicy::kRemoteSwap, std::int64_t{4 * 24}},
+        std::pair{SwapPolicy::kRemoteUpdate, std::int64_t{4 * 24}}}) {
+    World w;
+    HashLineStore store(w.cl->node(0), w.config(policy, limit, 4), &w.table);
+    store.size_lines(lines.size(), [&lines](std::size_t j) { return lines[j]; });
+    bool line0_faulted = false;
+    drive(w, [&]() -> sim::Task<> {
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        const Item a = static_cast<Item>(i);
+        const std::int64_t faults = store.pagefaults();
+        if (!store.try_insert(lines[i], pair_of(a, a + 100))) {
+          co_await store.insert(lines[i], pair_of(a, a + 100));
+        }
+        if (lines[i] == 0 && store.pagefaults() > faults) line0_faulted = true;
+        store.check_invariants();
+      }
+    });
+    EXPECT_EQ(line0_faulted, limit >= 0) << to_string(policy);
+    EXPECT_EQ(store.size(), lines.size());
+    std::size_t resident = 0;
+    for (LineId id = 0; id < 4; ++id) {
+      const HashLineStore::Line& l = store.line(id);
+      if (l.where != HashLineStore::Where::kResident) continue;
+      ++resident;
+      EXPECT_EQ(l.entries.capacity(), l.entries.size())
+          << to_string(policy) << " line " << id;
+    }
+    EXPECT_EQ(store.line(0).where, HashLineStore::Where::kResident);
+    EXPECT_EQ(store.line(0).entries.size(), 5u) << to_string(policy);
+    EXPECT_EQ(resident, store.resident_lines());
+  }
+}
+
+TEST(HashLineStore, NoLimitStoreKeepsItsInvariantsUnderProbesAndReads) {
+  // Without a limit nothing is ever evicted and use keeps no LRU order,
+  // but the residency list must still hold exactly the non-empty lines.
+  World w;
+  HashLineStore store(w.cl->node(0), w.config(SwapPolicy::kNoLimit, -1, 16),
+                      &w.table);
+  Pcg32 rng(0x10ad, 3);
+  std::map<std::string, std::uint32_t> expected;
+  std::map<std::string, std::uint32_t> counts;
+  std::size_t keyed_reads = 0;
+  drive(w, [&]() -> sim::Task<> {
+    std::vector<std::vector<Itemset>> per_line(16);
+    for (Item i = 0; i < 48; ++i) {  // lines 12..15 stay empty
+      const auto line = static_cast<LineId>(rng.below(12));
+      const Itemset s = pair_of(i, i + 100);
+      per_line[static_cast<std::size_t>(line)].push_back(s);
+      expected[s.to_string()] = 0;
+      co_await store.insert(line, s);
+      store.check_invariants();
+    }
+    store.set_phase(HashLineStore::Phase::kCount);
+    std::vector<LineId> block_lines;
+    std::vector<Itemset> block_itemsets;
+    for (int i = 0; i < 3000; ++i) {
+      const auto line = static_cast<LineId>(rng.below(16));
+      const auto& candidates = per_line[static_cast<std::size_t>(line)];
+      const bool hit = !candidates.empty() && rng.below(4) != 0;
+      const Itemset s =
+          hit ? candidates[rng.below(
+                    static_cast<std::uint32_t>(candidates.size()))]
+              : pair_of(900, 901);  // a miss everywhere
+      switch (i % 3) {
+        case 0:
+          co_await store.probe(line, s);
+          if (hit) ++expected[s.to_string()];
+          break;
+        case 1:
+          block_lines.push_back(line);
+          block_itemsets.push_back(s);
+          if (hit) ++expected[s.to_string()];
+          break;
+        default: {
+          // A read: first items are unique, so a hit matches once.
+          const std::uint32_t matches =
+              co_await store.count_matches(line, s.front());
+          EXPECT_EQ(matches, hit ? 1u : 0u);
+          if (hit) ++keyed_reads;
+          break;
+        }
+      }
+      store.check_invariants();
+    }
+    co_await store.probe_block(block_lines, block_itemsets);
+    store.check_invariants();
+    co_await store.collect([&](const mining::CountedItemset& e) {
+      counts[e.items.to_string()] = e.count;
+    });
+  });
+  std::size_t non_empty = 0;
+  for (LineId id = 0; id < 16; ++id) {
+    if (!store.line(id).entries.empty()) ++non_empty;
+  }
+  EXPECT_EQ(store.resident_lines(), non_empty);
+  EXPECT_LE(non_empty, 12u);
+  EXPECT_GT(keyed_reads, 500u);
+  EXPECT_EQ(counts, expected);
+  EXPECT_EQ(store.pagefaults(), 0);
 }
 
 TEST(HashLineStoreDeathTest, LimitWithoutPolicyAborts) {

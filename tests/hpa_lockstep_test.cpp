@@ -64,7 +64,7 @@ const std::vector<PassRef> kNoLimitRef = {
 constexpr Time kNoLimitTotal = 7847834785;
 
 void expect_pass(const HpaResult& r, const PassRef& ref) {
-  const PassReport* p = r.pass(ref.k);
+  const PassReport* p = r.pass(static_cast<std::size_t>(ref.k));
   ASSERT_NE(p, nullptr) << "pass " << ref.k;
   EXPECT_EQ(p->candidates_global, ref.candidates) << "pass " << ref.k;
   EXPECT_EQ(p->large_global, ref.large) << "pass " << ref.k;

@@ -138,13 +138,13 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(0.35, 0.7),
         ::testing::Values(std::size_t{1}, std::size_t{3}),
         ::testing::Values(core::EvictionPolicy::kLru)),
-    [](const ::testing::TestParamInfo<PolicyCase>& info) {
-      std::string name = core::to_string(std::get<0>(info.param));
+    [](const ::testing::TestParamInfo<PolicyCase>& param_info) {
+      std::string name = core::to_string(std::get<0>(param_info.param));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      name += std::get<1>(info.param) < 0.5 ? "_tight" : "_loose";
-      name += "_m" + std::to_string(std::get<2>(info.param));
+      name += std::get<1>(param_info.param) < 0.5 ? "_tight" : "_loose";
+      name += "_m" + std::to_string(std::get<2>(param_info.param));
       return name;
     });
 
@@ -157,9 +157,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(core::EvictionPolicy::kLru,
                           core::EvictionPolicy::kFifo,
                           core::EvictionPolicy::kRandom)),
-    [](const ::testing::TestParamInfo<PolicyCase>& info) {
+    [](const ::testing::TestParamInfo<PolicyCase>& param_info) {
       return std::string("ev_") +
-             core::to_string(std::get<3>(info.param));
+             core::to_string(std::get<3>(param_info.param));
     });
 
 // Seeds sweep: the same invariants over different generated databases

@@ -40,7 +40,9 @@ TEST_P(GeneratorGridTest, StructuralContractsHold) {
     ASSERT_FALSE(tx.empty());
     for (std::size_t i = 0; i < tx.size(); ++i) {
       ASSERT_LT(tx[i], p.num_items);
-      if (i > 0) ASSERT_LT(tx[i - 1], tx[i]);  // sorted unique
+      if (i > 0) {
+        ASSERT_LT(tx[i - 1], tx[i]);  // sorted unique
+      }
     }
     total_items += tx.size();
   }
@@ -60,11 +62,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2.0, 4.0),
                        ::testing::Values(std::int64_t{50}, std::int64_t{200}),
                        ::testing::Values(std::uint64_t{1})),
-    [](const ::testing::TestParamInfo<GenCase>& info) {
-      return "t" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_i" + std::to_string(static_cast<int>(std::get<1>(info.param))) +
-             "_p" + std::to_string(std::get<2>(info.param)) + "_s" +
-             std::to_string(std::get<3>(info.param));
+    [](const ::testing::TestParamInfo<GenCase>& param_info) {
+      const GenCase& c = param_info.param;
+      return "t" + std::to_string(static_cast<int>(std::get<0>(c))) + "_i" +
+             std::to_string(static_cast<int>(std::get<1>(c))) + "_p" +
+             std::to_string(std::get<2>(c)) + "_s" +
+             std::to_string(std::get<3>(c));
     });
 
 // ---------------------------------------------------------------------------
@@ -124,10 +127,10 @@ TEST_P(AprioriSupportTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, AprioriSupportTest,
                          ::testing::Values(0.01, 0.03, 0.08, 0.2, 0.5),
-                         [](const ::testing::TestParamInfo<double>& info) {
+                         [](const auto& param_info) {
                            return "minsup_" +
                                   std::to_string(static_cast<int>(
-                                      info.param * 1000));
+                                      param_info.param * 1000));
                          });
 
 // ---------------------------------------------------------------------------
@@ -171,10 +174,10 @@ TEST_P(RuleConfidenceTest, RulesAreExactlyTheQualifyingPartitions) {
 
 INSTANTIATE_TEST_SUITE_P(Confidences, RuleConfidenceTest,
                          ::testing::Values(0.2, 0.5, 0.8, 0.95),
-                         [](const ::testing::TestParamInfo<double>& info) {
+                         [](const auto& param_info) {
                            return "conf_" +
                                   std::to_string(static_cast<int>(
-                                      info.param * 100));
+                                      param_info.param * 100));
                          });
 
 }  // namespace

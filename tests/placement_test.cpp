@@ -325,12 +325,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(all_policies()),
                        ::testing::Bool(), ::testing::Bool(),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-      std::string name = policy_name(std::get<0>(info.param));
+    [](const ::testing::TestParamInfo<SweepCase>& param_info) {
+      std::string name = policy_name(std::get<0>(param_info.param));
       std::replace(name.begin(), name.end(), '-', '_');
-      name += std::get<1>(info.param) ? "_quar" : "_noquar";
-      name += std::get<2>(info.param) ? "_stale" : "_nostale";
-      name += std::get<3>(info.param) ? "_revive" : "_norevive";
+      name += std::get<1>(param_info.param) ? "_quar" : "_noquar";
+      name += std::get<2>(param_info.param) ? "_stale" : "_nostale";
+      name += std::get<3>(param_info.param) ? "_revive" : "_norevive";
       return name;
     });
 

@@ -2,6 +2,7 @@
 // channels, resources, and teardown behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -336,6 +337,51 @@ TEST(Teardown, ShutdownReleasesLeases) {
   EXPECT_EQ(res.in_use(), 1);
   sim.shutdown();  // destroys the frame; the Lease destructor releases
   EXPECT_EQ(res.in_use(), 0);
+}
+
+TEST(Teardown, FinishedProcessesAreReleasedDuringTheRun) {
+  // One short process per network message: the simulation must drop the
+  // records of finished ones as it goes, keep joins on them working, and
+  // still tear the live daemons down in spawn order at shutdown.
+  struct Marker {
+    std::vector<int>* order;
+    int id;
+    ~Marker() { order->push_back(id); }
+  };
+  auto daemon = [](Channel<int>& c, std::vector<int>& order,
+                   int id) -> Process {
+    const Marker m{&order, id};
+    for (;;) co_await c.recv();
+  };
+  auto shot = [](Simulation& s) -> Process { co_await s.timeout(usec(1)); };
+  constexpr int kShots = 20'000;
+  std::vector<int> torn_down;
+  Simulation sim;
+  Channel<int> ch(sim);
+  std::size_t peak = 0;
+  bool joined = false;
+  auto driver = [&]() -> Process {
+    const Process first = sim.spawn(shot(sim));
+    for (int i = 0; i < kShots; ++i) {
+      if (i % 5000 == 0) sim.spawn(daemon(ch, torn_down, i / 5000));
+      sim.spawn(shot(sim));
+      co_await sim.timeout(usec(2));
+      peak = std::max(peak, sim.tracked_processes());
+    }
+    co_await first;  // its record is long gone; the join handle is not
+    joined = true;
+  };
+  sim.spawn(driver());
+  sim.run();
+  EXPECT_TRUE(joined);
+  // At most a driver, four daemons and one shot are ever live.
+  EXPECT_LE(peak, Simulation::kCompactFloor);
+  EXPECT_GE(sim.tracked_processes(), 4u);
+  EXPECT_LE(sim.tracked_processes(), Simulation::kCompactFloor);
+  EXPECT_TRUE(torn_down.empty());
+  sim.shutdown();
+  EXPECT_EQ(torn_down, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.tracked_processes(), 0u);
 }
 
 }  // namespace

@@ -117,7 +117,9 @@ TEST_P(ResourcePropertyTest, ConcurrencyNeverExceedsCapacity) {
 
   EXPECT_EQ(completed, workers);
   EXPECT_LE(peak, capacity);
-  if (workers >= capacity) EXPECT_EQ(peak, capacity);  // fully utilized
+  if (workers >= capacity) {
+    EXPECT_EQ(peak, capacity);  // fully utilized
+  }
   EXPECT_EQ(res.in_use(), 0);
   EXPECT_EQ(res.total_acquired(), static_cast<std::uint64_t>(workers) * 3);
 }
