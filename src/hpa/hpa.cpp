@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "cluster/fault.hpp"
-#include "core/availability.hpp"
 #include "core/hash_line_store.hpp"
-#include "core/memory_server.hpp"
 #include "core/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -48,9 +45,9 @@ struct LargeList {
   std::vector<mining::CountedItemset> larges;
 };
 
-class HpaWorkload final : public runtime::Workload {
+class HpaWorkload final : public sched::PhasedJob {
  public:
-  explicit HpaWorkload(const HpaConfig& cfg) : cfg_(cfg) {
+  explicit HpaWorkload(HpaConfig cfg) : cfg_(std::move(cfg)) {
     RMS_CHECK(cfg_.app_nodes >= 1);
     RMS_CHECK(cfg_.hash_lines >= cfg_.app_nodes);
     RMS_CHECK(cfg_.min_support > 0 && cfg_.min_support <= 1.0);
@@ -65,13 +62,13 @@ class HpaWorkload final : public runtime::Workload {
     return cfg_.memory_limit_bytes >= 0 && core::uses_remote_memory(cfg_.policy);
   }
 
-  HpaResult run();
+  /// The run's result, read after World::run_one_job returned.
+  HpaResult result(sched::World& world);
 
-  // ---- sched job mode (shared world; see sched/job.hpp) ----
-  void launch(const sched::JobEnv& env, std::function<void()> on_done);
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes);
-  std::int64_t donated_bytes() const;
-  sched::JobReport harvest();
+  // ---- sched::JobRuntime ----
+  const char* workload_name() const override { return "hpa"; }
+  void launch(const sched::JobEnv& env,
+              std::function<void()> on_done) override;
 
   // ---- runtime::Workload ----
   void register_phases(runtime::PhaseRegistry& phases) override {
@@ -106,8 +103,8 @@ class HpaWorkload final : public runtime::Workload {
         break;
       case kCountPhase: {
         stores_[idx]->set_phase(core::HashLineStore::Phase::kCount);
-        sim::Process sender = sim_->spawn(count_sender(idx, k));
-        sim::Process receiver = sim_->spawn(count_receiver(idx, k));
+        sim::Process sender = sim().spawn(count_sender(idx, k));
+        sim::Process receiver = sim().spawn(count_receiver(idx, k));
         co_await sender;
         co_await receiver;
         break;
@@ -133,16 +130,9 @@ class HpaWorkload final : public runtime::Workload {
   }
 
  private:
-  // ---- topology helpers ----
-  // Scheduled jobs execute on world-assigned slot nodes (ext_app_ids_);
-  // the single-run world uses the identity layout.
-  NodeId app_id(std::size_t idx) const {
-    return ext_app_ids_.empty() ? static_cast<NodeId>(idx)
-                                : ext_app_ids_[idx];
-  }
-  NodeId mem_id(std::size_t idx) const {
-    return static_cast<NodeId>(cfg_.app_nodes + idx);
-  }
+  void fill_report(sched::JobReport& rep) override;
+
+  // ---- line partition helpers ----
   std::size_t global_line(const Itemset& s) const {
     return static_cast<std::size_t>(s.hash() % cfg_.hash_lines);
   }
@@ -212,32 +202,18 @@ class HpaWorkload final : public runtime::Workload {
   void generate_candidates(std::size_t k);
   void finish_pass_report(const runtime::PassTiming& timing);
   void register_gauges();
-  /// Database/partition/threshold preparation shared by both entry modes.
+  /// Database, partition and support-threshold preparation.
   void prepare_inputs();
   /// result_.mined equals the sequential miner over the same database.
   bool check_exactness() const;
 
-  const HpaConfig& cfg_;
+  const HpaConfig cfg_;
   std::vector<std::size_t> cuts_;  // weighted-partition residue cuts
-  // Single-run mode owns its simulation and world; a scheduled job borrows
-  // the shared ones and the owning members stay empty.
-  sim::Simulation own_sim_;
-  sim::Simulation* sim_ = &own_sim_;
-  std::unique_ptr<cluster::Cluster> own_cluster_;
-  cluster::Cluster* cluster_ = nullptr;
-  std::vector<NodeId> ext_app_ids_;  // world slot ids (job mode)
-  sched::SlotTable* slots_ = nullptr;
-  std::unique_ptr<runtime::PhasedRunner> runner_;  // job mode only
 
   mining::TransactionDb generated_db_;
   const mining::TransactionDb* db_ = nullptr;
   std::vector<mining::TransactionDb> partitions_;
   std::uint32_t min_count_ = 1;
-
-  std::vector<placement::MemoryBroker*> brokers_;
-  std::vector<std::unique_ptr<placement::MemoryBroker>> own_brokers_;
-  std::vector<std::unique_ptr<core::HashLineStore>> stores_;
-  std::vector<std::unique_ptr<core::MemoryServer>> servers_;
 
   // Canonical global mining state. Every node receives the same exchanged
   // messages; the canonical copy avoids holding one merged copy per node.
@@ -247,12 +223,10 @@ class HpaWorkload final : public runtime::Workload {
   std::int64_t total_candidates_ = 0;
 
   HpaResult result_;
+  // Stores are torn down at every pass end; their counters fold in here.
   core::FailoverStats failover_total_;
   core::IntegrityStats integrity_total_;
   StatsRegistry store_stats_total_;
-  /// At-rest corruption draws (FaultPlan episodes); fixed stream so runs
-  /// with identical configs corrupt identically.
-  Pcg32 corrupt_rest_rng_{0xa27e57, 0x11};
 };
 
 // ---------------------------------------------------------------------------
@@ -260,7 +234,7 @@ class HpaWorkload final : public runtime::Workload {
 // ---------------------------------------------------------------------------
 
 sim::Task<> HpaWorkload::pass1(std::size_t idx) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const mining::TransactionDb& part = partitions_[idx];
   const cluster::CostModel& costs = node.costs();
 
@@ -369,7 +343,7 @@ void HpaWorkload::generate_candidates(std::size_t k) {
 }
 
 sim::Task<> HpaWorkload::build_store(std::size_t idx, std::size_t k) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const cluster::CostModel& costs = node.costs();
 
   core::HashLineStore::Config scfg;
@@ -389,7 +363,7 @@ sim::Task<> HpaWorkload::build_store(std::size_t idx, std::size_t k) {
   scfg.rpc_window = cfg_.rpc_window;
   scfg.trace = cfg_.trace;
   stores_[idx] = std::make_unique<core::HashLineStore>(node, scfg,
-                                                       brokers_[idx]);
+                                                       env_.brokers[idx]);
 
   // Full candidate-stream scan (hash + destination test for every
   // candidate, §2.2 step 1).
@@ -418,7 +392,7 @@ sim::Task<> HpaWorkload::build_store(std::size_t idx, std::size_t k) {
 // ---------------------------------------------------------------------------
 
 sim::Process HpaWorkload::count_sender(std::size_t idx, std::size_t k) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const mining::TransactionDb& part = partitions_[idx];
   const cluster::CostModel& costs = node.costs();
 
@@ -498,7 +472,7 @@ sim::Process HpaWorkload::count_sender(std::size_t idx, std::size_t k) {
 }
 
 sim::Process HpaWorkload::count_receiver(std::size_t idx, std::size_t k) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const cluster::CostModel& costs = node.costs();
   core::HashLineStore& store = *stores_[idx];
 
@@ -531,7 +505,7 @@ sim::Process HpaWorkload::count_receiver(std::size_t idx, std::size_t k) {
 // ---------------------------------------------------------------------------
 
 sim::Task<> HpaWorkload::determine_large(std::size_t idx, std::size_t k) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const cluster::CostModel& costs = node.costs();
   core::HashLineStore& store = *stores_[idx];
 
@@ -644,136 +618,14 @@ bool HpaWorkload::check_exactness() const {
   return true;
 }
 
-HpaResult HpaWorkload::run() {
-  // World construction.
+void HpaWorkload::launch(const sched::JobEnv& env,
+                         std::function<void()> on_done) {
+  attach(env, cfg_.app_nodes);
   build_partition_cuts();
-  cluster::ClusterConfig ccfg = cfg_.cluster;
-  ccfg.num_nodes = cfg_.app_nodes + cfg_.memory_nodes;
-  own_cluster_ = std::make_unique<cluster::Cluster>(*sim_, ccfg);
-  cluster_ = own_cluster_.get();
-  if (cfg_.profiler != nullptr) {
-    for (std::size_t i = 0; i < cluster_->size(); ++i) {
-      cluster_->node(static_cast<cluster::NodeId>(i))
-          .set_profile_hook(cfg_.profiler);
-    }
-  }
   prepare_inputs();
-
-  // Memory-available nodes: servers + monitors.
-  std::vector<NodeId> memory_ids;
-  std::vector<NodeId> app_ids;
-  for (std::size_t i = 0; i < cfg_.memory_nodes; ++i)
-    memory_ids.push_back(mem_id(i));
-  for (std::size_t i = 0; i < cfg_.app_nodes; ++i) app_ids.push_back(app_id(i));
-
-  servers_.resize(cfg_.memory_nodes);
-  for (std::size_t i = 0; i < cfg_.memory_nodes; ++i) {
-    Node& node = cluster_->node(mem_id(i));
-    core::MemoryServer::Config mscfg;
-    mscfg.message_block_bytes = cfg_.message_block_bytes;
-    mscfg.rpc_window = cfg_.rpc_window;
-    mscfg.trace = cfg_.trace;
-    servers_[i] = std::make_unique<core::MemoryServer>(node, mscfg);
-    sim_->spawn(servers_[i]->serve());
-    sim_->spawn(core::availability_monitor(
-        node, core::MonitorConfig{cfg_.monitor_interval, app_ids}));
-  }
-
-  // Application nodes: one placement::MemoryBroker each (availability view
-  // + destination policy), an availability client feeding it with the
-  // migration hook, plus a failure detector whose verdicts re-home lines
-  // off dead holders.
-  own_brokers_.resize(cfg_.app_nodes);
-  brokers_.resize(cfg_.app_nodes);
-  stores_.resize(cfg_.app_nodes);
-  for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-    own_brokers_[i] = std::make_unique<placement::MemoryBroker>(
-        memory_ids, cfg_.placement, static_cast<std::uint64_t>(app_id(i)));
-    brokers_[i] = own_brokers_[i].get();
-    if (cfg_.stale_after_intervals > 0) {
-      brokers_[i]->set_max_age(cfg_.monitor_interval *
-                               cfg_.stale_after_intervals);
-    }
-    if (cfg_.trace != nullptr) {
-      brokers_[i]->set_trace(cfg_.trace, static_cast<std::int32_t>(app_id(i)));
-    }
-    core::ClientConfig clcfg;
-    clcfg.shortage_threshold_bytes = cfg_.shortage_threshold_bytes;
-    sim_->spawn(core::availability_client(
-        cluster_->node(app_id(i)), *brokers_[i], clcfg,
-        [this, i](NodeId holder) -> sim::Task<> {
-          if (stores_[i]) co_await stores_[i]->migrate_away(holder);
-        }));
-    if (uses_remote_memory_policy()) {
-      core::DetectorConfig dcfg;
-      dcfg.expected_interval = cfg_.monitor_interval;
-      dcfg.miss_threshold = cfg_.suspect_after_misses;
-      sim_->spawn(core::failure_detector(
-          cluster_->node(app_id(i)), *brokers_[i], dcfg,
-          [this, i](NodeId suspect) -> sim::Task<> {
-            if (stores_[i]) co_await stores_[i]->handle_holder_failure(suspect);
-          }));
-    }
-  }
-
-  // Fault injection: withdrawals of memory-available nodes (Figure 5).
-  for (const HpaConfig::Withdrawal& w : cfg_.withdrawals) {
-    RMS_CHECK(w.memory_node_index < cfg_.memory_nodes);
-    Node& victim = cluster_->node(mem_id(w.memory_node_index));
-    sim_->call_at(w.at, [&victim] {
-      victim.memory().external_bytes = victim.memory().total_bytes;
-    });
-  }
-
-  // Fault injection: crash-stops, loss bursts, and corruption episodes
-  // (robustness extensions).
-  {
-    cluster::FaultPlan plan;
-    for (const HpaConfig::Crash& c : cfg_.crashes) {
-      RMS_CHECK(c.memory_node_index < cfg_.memory_nodes);
-      plan.crashes.push_back(cluster::FaultPlan::Crash{
-          mem_id(c.memory_node_index), c.at, c.restart_at});
-    }
-    plan.loss_bursts = cfg_.loss_bursts;
-    bool any_wire_corruption = false;
-    for (const HpaConfig::Corruption& c : cfg_.corruption) {
-      NodeId focus = -1;
-      if (c.memory_node_index >= 0) {
-        RMS_CHECK(static_cast<std::size_t>(c.memory_node_index) <
-                  cfg_.memory_nodes);
-        focus = mem_id(static_cast<std::size_t>(c.memory_node_index));
-      }
-      plan.corruption.push_back(cluster::FaultPlan::Corruption{
-          c.at, c.duration, c.flip_rate, c.rest_flip_rate, focus, c.scrub});
-      if (c.flip_rate > 0.0) any_wire_corruption = true;
-    }
-    // The corruptor is installed only when an episode needs it: with no
-    // injection the delivery path never draws from the corruption RNG and
-    // results stay bit-identical with pre-integrity builds.
-    if (any_wire_corruption) {
-      cluster_->network().set_corruptor(core::corrupt_line_payloads);
-    }
-    cluster::CorruptionHooks hooks;
-    if (!cfg_.corruption.empty()) {
-      hooks.at_rest = [this](NodeId node, double rate) {
-        for (auto& server : servers_) {
-          if (node >= 0 && server->node().id() != node) continue;
-          server->corrupt_stored(rate, corrupt_rest_rng_);
-        }
-      };
-      hooks.scrub = [this](NodeId node) {
-        for (auto& server : servers_) {
-          if (node >= 0 && server->node().id() != node) continue;
-          server->verify_stored();
-        }
-      };
-    }
-    plan.install(*cluster_, hooks);
-  }
-
   if (cfg_.metrics != nullptr) {
     register_gauges();
-    sim_->spawn(obs::sample_process(*sim_, *cfg_.metrics));
+    sim().spawn(obs::sample_process(sim(), *cfg_.metrics));
   }
 
   // Mining proper: the generic phased runner owns barriers, phase spans,
@@ -788,53 +640,20 @@ HpaResult HpaWorkload::run() {
   // Let the first availability broadcasts land before any swap decision.
   rcfg.warmup = msec(10);
   rcfg.trace = cfg_.trace;
-  runtime::PhasedRunner runner(*sim_, *this, rcfg);
-  runner.start();
-  sim_->run();
-  RMS_CHECK_MSG(runner.finished(),
-                "simulation drained before mining finished");
-  result_.total_time = runner.total_time();
-  result_.phase_names = runner.phases().names();
+  start_runner(std::move(rcfg), std::move(on_done));
+}
 
-  // Assemble mining metadata and merged statistics.
-  for (std::size_t p = 0; p < result_.passes.size(); ++p) {
-    result_.mined.passes.push_back(mining::PassInfo{
-        result_.passes[p].k, result_.passes[p].candidates_global,
-        result_.passes[p].large_global});
+HpaResult HpaWorkload::result(sched::World& world) {
+  result_.total_time = runner().total_time();
+  result_.phase_names = runner().phases().names();
+  for (const PassReport& p : result_.passes) {
+    result_.mined.passes.push_back(
+        mining::PassInfo{p.k, p.candidates_global, p.large_global});
   }
-  for (std::size_t i = 0; i < cluster_->size(); ++i) {
-    Node& node = cluster_->node(static_cast<NodeId>(i));
-    result_.stats.merge(node.stats());
-    result_.stats.merge(node.data_disk().stats());
-    result_.stats.merge(node.swap_disk().stats());
-  }
-  result_.stats.merge(cluster_->network().stats());
-  // Backend-scoped counters live in the stores' own registries; "store.*"
-  // keys duplicate node-level bumps already merged above, so only the
-  // "backend."-namespaced ones are exported.
-  for (const auto& [name, value] : store_stats_total_.counters()) {
-    if (value != 0 && name.starts_with("backend.")) {
-      result_.stats.bump(name, value);
-    }
-  }
-  // Placement decision counters live in the brokers (which outlive the
-  // per-pass stores); zero-valued slots are pre-registered scratch and are
-  // skipped so disk-only runs do not grow placement keys.
-  for (const auto& broker : brokers_) {
-    for (const auto& [name, value] : broker->stats().counters()) {
-      if (value != 0) result_.stats.bump(name, value);
-    }
-  }
+  result_.stats = world.merged_stats(store_stats_total_);
   result_.failover = failover_total_;
   result_.integrity = integrity_total_;
-
-  // Destroy still-suspended daemon frames (monitors, servers) while the
-  // cluster objects their locals reference are alive.
-  sim_->shutdown();
-  // The gauges registered above capture this Runner; drop them before the
-  // captured state dies with us (the recorded series stays).
-  if (cfg_.metrics != nullptr) cfg_.metrics->clear_gauges();
-  return result_;
+  return std::move(result_);
 }
 
 void HpaWorkload::register_gauges() {
@@ -871,101 +690,24 @@ void HpaWorkload::register_gauges() {
       return static_cast<double>(s.rpc_window());
     }));
     m.add_gauge("heartbeat_staleness_s", node, [this, i]() -> double {
-      return to_seconds(brokers_[i]->oldest_report_age(sim_->now()));
+      return to_seconds(env_.brokers[i]->oldest_report_age(sim().now()));
     });
   }
   // Per-memory-node donation (how much RAM the node is lending out).
-  for (std::size_t i = 0; i < cfg_.memory_nodes; ++i) {
-    const auto node = static_cast<std::int32_t>(mem_id(i));
-    m.add_gauge("donated_bytes", node, [this, i]() -> double {
-      return static_cast<double>(
-          cluster_->node(mem_id(i)).memory().donated_bytes);
-    });
+  for (NodeId id : env_.brokers[0]->memory_nodes()) {
+    m.add_gauge("donated_bytes", static_cast<std::int32_t>(id),
+                [this, id]() -> double {
+                  return static_cast<double>(
+                      env_.cluster->node(id).memory().donated_bytes);
+                });
   }
   // Cluster-wide: kernel event throughput (a cheap progress heartbeat).
   m.add_gauge("executed_events", -1, [this]() -> double {
-    return static_cast<double>(sim_->executed_events());
+    return static_cast<double>(sim().executed_events());
   });
 }
 
-// ---------------------------------------------------------------------------
-// Scheduled-job mode: run inside a shared sched::World.
-// ---------------------------------------------------------------------------
-
-void HpaWorkload::launch(const sched::JobEnv& env,
-                         std::function<void()> on_done) {
-  RMS_CHECK_MSG(cfg_.metrics == nullptr && cfg_.profiler == nullptr,
-                "scheduled jobs do not own observability sinks");
-  RMS_CHECK_MSG(cfg_.withdrawals.empty() && cfg_.crashes.empty() &&
-                    cfg_.loss_bursts.empty() && cfg_.corruption.empty(),
-                "fault injection belongs to the world, not a scheduled job");
-  RMS_CHECK(env.sim != nullptr && env.cluster != nullptr);
-  RMS_CHECK_MSG(env.app_nodes.size() == cfg_.app_nodes,
-                "slot lease must match the job's participant count");
-  RMS_CHECK(env.brokers.size() == cfg_.app_nodes);
-  sim_ = env.sim;
-  cluster_ = env.cluster;
-  ext_app_ids_ = env.app_nodes;
-  brokers_ = env.brokers;
-  slots_ = env.slots;
-
-  build_partition_cuts();
-  prepare_inputs();
-
-  // Stores are rebuilt each pass; bind the slots to getters so world
-  // daemons always reach whatever store the slot carries right now.
-  stores_.resize(cfg_.app_nodes);
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->bind(app_id(i), [this, i]() -> core::HashLineStore* {
-        return stores_[i].get();
-      });
-    }
-  }
-
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 2;
-  rcfg.max_pass = cfg_.max_k;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  // Availability broadcasts are already flowing in a long-lived world, but
-  // keep the single-run warmup so a job admitted at t=0 behaves alike.
-  rcfg.warmup = msec(10);
-  rcfg.trace = cfg_.trace;
-  rcfg.tracks.reserve(cfg_.app_nodes);
-  for (NodeId id : ext_app_ids_) {
-    rcfg.tracks.push_back(static_cast<std::int32_t>(id));
-  }
-  rcfg.on_finished = std::move(on_done);
-  runner_ = std::make_unique<runtime::PhasedRunner>(*sim_, *this, rcfg);
-  runner_->start();
-}
-
-sim::Task<std::int64_t> HpaWorkload::reclaim(std::int64_t target_bytes) {
-  std::int64_t freed = 0;
-  for (auto& store : stores_) {
-    if (freed >= target_bytes) break;
-    if (store) freed += co_await store->reclaim(target_bytes - freed);
-  }
-  co_return freed;
-}
-
-std::int64_t HpaWorkload::donated_bytes() const {
-  std::int64_t sum = 0;
-  for (const auto& store : stores_) {
-    if (store) sum += store->remote_held_bytes();
-  }
-  return sum;
-}
-
-sched::JobReport HpaWorkload::harvest() {
-  sched::JobReport rep;
-  rep.completed = runner_ != nullptr && runner_->finished();
-  if (runner_ != nullptr) {
-    rep.total_time = runner_->total_time();
-    rep.passes = runner_->passes();
-    rep.phase_names = runner_->phases().names();
-  }
+void HpaWorkload::fill_report(sched::JobReport& rep) {
   // Stores are torn down at every pass end; the per-pass reports carry the
   // counters.
   for (const PassReport& p : result_.passes) {
@@ -978,46 +720,59 @@ sched::JobReport HpaWorkload::harvest() {
     rep.exact = check_exactness();
     rep.summary = "large=" + std::to_string(result_.mined.support.size());
   }
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->unbind(app_id(i));
-    }
-  }
-  return rep;
 }
 
-/// Owns the config copy and the workload it parameterizes.
-class HpaJob final : public sched::JobRuntime {
- public:
-  explicit HpaJob(HpaConfig cfg) : cfg_(std::move(cfg)), workload_(cfg_) {}
-
-  const char* workload_name() const override { return "hpa"; }
-  void launch(const sched::JobEnv& env,
-              std::function<void()> on_done) override {
-    workload_.launch(env, std::move(on_done));
-  }
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes) override {
-    return workload_.reclaim(target_bytes);
-  }
-  std::int64_t donated_bytes() const override {
-    return workload_.donated_bytes();
-  }
-  sched::JobReport harvest() override { return workload_.harvest(); }
-
- private:
-  HpaConfig cfg_;
-  HpaWorkload workload_;
-};
+/// The single-job world run_hpa() builds around `cfg`.
+sched::WorldConfig one_job_world(const HpaConfig& cfg) {
+  sched::WorldConfig w;
+  w.layout = sched::WorldConfig::Layout::kSingleJob;
+  w.app_nodes = cfg.app_nodes;
+  w.memory_nodes = cfg.memory_nodes;
+  w.message_block_bytes = cfg.message_block_bytes;
+  w.monitor_interval = cfg.monitor_interval;
+  w.shortage_threshold_bytes = cfg.shortage_threshold_bytes;
+  w.placement = cfg.placement;
+  w.stale_after_intervals = cfg.stale_after_intervals;
+  w.rpc_window = cfg.rpc_window;
+  // Failure verdicts re-home lines off dead holders; only remote policies
+  // park lines there.
+  const bool remote =
+      cfg.memory_limit_bytes >= 0 && core::uses_remote_memory(cfg.policy);
+  w.suspect_after_misses = remote ? cfg.suspect_after_misses : 0;
+  w.cluster = cfg.cluster;
+  w.seed = cfg.cluster.seed;
+  w.withdrawals = cfg.withdrawals;
+  w.crashes = cfg.crashes;
+  w.loss_bursts = cfg.loss_bursts;
+  w.corruption = cfg.corruption;
+  w.trace = cfg.trace;
+  w.profiler = cfg.profiler;
+  return w;
+}
 
 }  // namespace
 
 HpaResult run_hpa(const HpaConfig& config) {
-  HpaWorkload workload(config);
-  return workload.run();
+  sim::Simulation sim;
+  sched::World world(sim, one_job_world(config));
+  HpaWorkload job(config);
+  world.run_one_job(job);
+  HpaResult result = job.result(world);
+  // Destroy still-suspended frames (daemons, in-flight store calls) while
+  // the world and the job's stores they reference are alive; then drop the
+  // gauges that capture the job (the recorded series stays).
+  sim.shutdown();
+  if (config.metrics != nullptr) config.metrics->clear_gauges();
+  return result;
 }
 
 sched::JobRuntimePtr make_hpa_job(HpaConfig config) {
-  return std::make_unique<HpaJob>(std::move(config));
+  RMS_CHECK_MSG(config.metrics == nullptr && config.profiler == nullptr,
+                "scheduled jobs do not own observability sinks");
+  RMS_CHECK_MSG(config.withdrawals.empty() && config.crashes.empty() &&
+                    config.loss_bursts.empty() && config.corruption.empty(),
+                "fault injection belongs to the world, not a scheduled job");
+  return std::make_unique<HpaWorkload>(std::move(config));
 }
 
 std::vector<double> paper_table3_weights() {

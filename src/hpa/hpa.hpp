@@ -7,8 +7,10 @@
 // owner probes its hash-line store — which is where the memory limit and
 // the remote-memory machinery of core:: take over.
 //
-// One call to `run_hpa` builds the whole world (cluster, disks, monitors,
-// memory servers), mines to completion, and returns both the mining result
+// One call to `run_hpa` builds a single-job sched::World (cluster, disks,
+// monitors, memory servers, failure detectors, the fault plan), launches
+// the miner on it as a sched::JobRuntime — the same launch the scheduler
+// performs — mines to completion, and returns both the mining result
 // (bit-comparable with the sequential miner) and the per-pass timing and
 // fault statistics the paper's tables and figures are built from.
 #pragma once
@@ -27,7 +29,7 @@
 #include "mining/apriori.hpp"
 #include "mining/generator.hpp"
 #include "placement/placement.hpp"
-#include "sched/job.hpp"
+#include "sched/world.hpp"
 
 namespace rms::obs {
 class TraceRecorder;
@@ -78,41 +80,17 @@ struct HpaConfig {
 
   cluster::ClusterConfig cluster;  // costs/link/disks; num_nodes is derived
 
-  /// Fault injection for the migration experiment (Figure 5): at time `at`,
-  /// memory-available node #`memory_node_index` loses all its free memory.
-  struct Withdrawal {
-    std::size_t memory_node_index = 0;
-    Time at = 0;
-  };
+  // ---- fault injection, installed by the world (sched::WorldConfig) ----
+  /// Memory-node withdrawals for the migration experiment (Figure 5).
+  using Withdrawal = sched::WorldConfig::Withdrawal;
   std::vector<Withdrawal> withdrawals;
-
-  // ---- failure injection + failover (robustness extension) ----
-  /// Crash-stop memory-available node #`memory_node_index` at `at`
-  /// (its stored lines vanish); optionally restart it at `restart_at`.
-  struct Crash {
-    std::size_t memory_node_index = 0;
-    Time at = 0;
-    Time restart_at = -1;  // < 0: stays down
-  };
+  /// Crash-stops of memory-available nodes (robustness extension).
+  using Crash = sched::WorldConfig::Crash;
   std::vector<Crash> crashes;
   /// Scripted periods of elevated message loss on every link.
   std::vector<cluster::FaultPlan::LossBurst> loss_bursts;
-
-  // ---- corruption injection + integrity (this extension) ----
-  /// Scripted payload-corruption episodes. While active, line payloads on
-  /// the wire flip a count bit with probability `flip_rate` per payload
-  /// (focused on one memory node's links when `memory_node_index` >= 0,
-  /// cluster-wide at -1); `rest_flip_rate` corrupts stored lines at rest on
-  /// the matching memory servers once at `at`; `scrub` schedules a server
-  /// verify pass at `at + duration` that drops mismatched copies.
-  struct Corruption {
-    Time at = 0;
-    Time duration = 0;
-    double flip_rate = 0.0;
-    double rest_flip_rate = 0.0;
-    std::ptrdiff_t memory_node_index = -1;  // -1: every node / link
-    bool scrub = false;
-  };
+  /// Payload-corruption episodes (integrity extension).
+  using Corruption = sched::WorldConfig::Corruption;
   std::vector<Corruption> corruption;
   /// Quarantine a holder in the placement broker after this many checksum
   /// mismatches on payloads it served (it stops attracting swap-outs).
@@ -217,12 +195,12 @@ struct HpaResult {
 
 HpaResult run_hpa(const HpaConfig& config);
 
-/// Scheduled-job mode: the same miner parameterized by `config`, run inside
-/// a shared sched::World on scheduler-leased slots. config.metrics and
-/// config.profiler must be null and every fault-injection list empty (the
-/// world owns the cluster); config.memory_nodes is ignored — the world
-/// supplies the donor pool. config.trace may point at the world's shared
-/// recorder.
+/// The same miner as a job for a shared sched::World, run on
+/// scheduler-leased slots. config.metrics and config.profiler must be null
+/// and every fault-injection list empty (the world owns the cluster); the
+/// world-level fields (memory_nodes, monitor_interval, placement,
+/// rpc_window, cluster, ...) are ignored — the world supplies them.
+/// config.trace may point at the world's shared recorder.
 sched::JobRuntimePtr make_hpa_job(HpaConfig config);
 
 /// The candidate-partition proportions the paper observed across its 8

@@ -1,19 +1,22 @@
 // rms::sched job model: the contract between the multi-tenant scheduler and
 // the workloads it runs.
 //
-// A scheduled job is a workload from the runtime catalog (hpa, hash_join,
-// hash_aggregate) executing on a set of application-node slots it receives
-// at admission, inside a simulation and cluster it shares with every other
-// running job. The world (cluster, memory servers, availability monitors,
-// per-slot brokers and clients) belongs to sched::World and outlives every
-// job; a JobRuntime owns only the job-local state — database partitions,
-// hash-line stores, the PhasedRunner — and registers its stores in the
-// world's SlotTable so world daemons (shortage-triggered migration) can
-// reach whatever store currently lives on a slot.
+// A job is a workload from the runtime catalog (hpa, hash_join,
+// hash_aggregate) executing on a set of application-node slots inside a
+// sched::World: slots leased at admission from a world it shares with
+// every other running job, or every slot of a single-job world of its own
+// (the standalone run_*() entry points). The world (cluster, memory
+// servers, availability monitors, per-slot brokers, clients and failure
+// detectors) outlives the job; a JobRuntime owns only the job-local state —
+// database partitions, hash-line stores, the PhasedRunner — and registers
+// its stores in the world's SlotTable so world daemons (shortage-triggered
+// migration, failure verdicts) can reach whatever store currently lives on
+// a slot.
 //
 // The scheduler knows nothing about concrete workloads: each workload
 // module exposes a make_*_job factory returning a JobRuntime, and the bench
-// wires specs to factories.
+// wires specs to factories. Every workload derives from PhasedJob, which
+// holds the part of the contract they share.
 #pragma once
 
 #include <cstdint>
@@ -31,18 +34,20 @@
 
 namespace rms::cluster {
 class Cluster;
+class Node;
 }
 namespace rms::core {
 class HashLineStore;
+}
+namespace rms::runtime {
+class PhasedRunner;
+struct RunnerConfig;
 }
 namespace rms::placement {
 class MemoryBroker;
 }
 namespace rms::sim {
 class Simulation;
-}
-namespace rms::obs {
-class TraceRecorder;
 }
 
 namespace rms::sched {
@@ -81,11 +86,7 @@ struct JobEnv {
   /// World-owned placement brokers, one per slot, same order. The
   /// scheduler has already attached the job's tenant ledger.
   std::vector<placement::MemoryBroker*> brokers;
-  /// The shared donor pool (memory-available nodes).
-  std::vector<net::NodeId> memory_nodes;
   SlotTable* slots = nullptr;
-  /// Shared event sink (null: tracing off). Spans land on slot-node tracks.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// What the scheduler records about a finished (or torn down) job.
@@ -108,12 +109,12 @@ struct JobReport {
   std::int64_t degraded_evictions = 0;
 };
 
-/// One admitted job's runtime: owns the job-local state and the runner.
-/// Lifecycle: launch() (spawn processes into the shared simulation; no
-/// virtual time passes) -> on_done fires at the runner's final barrier ->
-/// harvest() (collect the report, unbind slots). The runtime stays alive
-/// after harvest — a reclaim may still be suspended in its store machinery —
-/// and is destroyed with the scheduler, before the world.
+/// One job's runtime: owns the job-local state and the runner. Lifecycle:
+/// launch() (spawn processes into the world's simulation; no virtual time
+/// passes) -> on_done fires at the runner's final barrier -> harvest()
+/// (collect the report, unbind slots). The runtime stays alive after
+/// harvest — a reclaim may still be suspended in its store machinery — and
+/// is destroyed after the simulation shut down, before the world.
 class JobRuntime {
  public:
   virtual ~JobRuntime() = default;
@@ -144,5 +145,49 @@ class JobRuntime {
 };
 
 using JobRuntimePtr = std::unique_ptr<JobRuntime>;
+
+/// The part of a JobRuntime every phased workload shares: one hash-line
+/// store per participant, bound to the participant's slot; the
+/// PhasedRunner on those slots; and the scheduler's reclaim,
+/// donated_bytes and harvest over the stores. A workload derives from it,
+/// implements the runtime::Workload hooks and launch(), and adds its own
+/// figures in fill_report().
+class PhasedJob : public JobRuntime, public runtime::Workload {
+ public:
+  ~PhasedJob() override;
+
+  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes) final;
+  std::int64_t donated_bytes() const final;
+  /// Completion and timing from the runner, the workload's fill_report(),
+  /// then the slots unbind.
+  JobReport harvest() final;
+
+ protected:
+  PhasedJob();
+
+  /// Adopt the world handles (one slot and broker per participant) and
+  /// bind each slot to its participant's store.
+  void attach(const JobEnv& env, std::size_t participants);
+  /// Start the phased runner on the attached slots; `on_done` fires at its
+  /// final barrier.
+  void start_runner(runtime::RunnerConfig rcfg, std::function<void()> on_done);
+
+  /// The workload's part of harvest(): counters, exactness, summary.
+  virtual void fill_report(JobReport& rep) = 0;
+  /// Add the live stores' fault, swap-out, update and degraded-eviction
+  /// counters to `rep`.
+  void add_store_counters(JobReport& rep) const;
+  /// The live stores' counter registries, merged.
+  StatsRegistry store_stats() const;
+
+  net::NodeId app_id(std::size_t idx) const { return env_.app_nodes[idx]; }
+  cluster::Node& app_node(std::size_t idx) const;
+  sim::Simulation& sim() const { return *env_.sim; }
+  const runtime::PhasedRunner& runner() const { return *runner_; }
+
+  JobEnv env_;
+  std::vector<std::unique_ptr<core::HashLineStore>> stores_;
+  std::unique_ptr<runtime::PhasedRunner> runner_;
+};
 
 }  // namespace rms::sched

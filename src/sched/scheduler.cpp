@@ -25,6 +25,8 @@ const char* job_state_name(JobState state) {
 
 JobScheduler::JobScheduler(World& world, SchedulerConfig cfg)
     : world_(world), cfg_(cfg) {
+  RMS_CHECK_MSG(world_.has_scheduler(),
+                "the scheduler needs the scheduled world layout");
   slot_busy_.assign(world_.num_slots(), 0);
 }
 
@@ -112,9 +114,7 @@ void JobScheduler::launch(JobRecord& job, Time now) {
   JobEnv env;
   env.sim = &world_.sim();
   env.cluster = &world_.cluster();
-  env.memory_nodes = world_.memory_ids();
   env.slots = &world_.slots();
-  env.trace = cfg_.trace;
   for (std::size_t s : job.slot_indices) {
     env.app_nodes.push_back(world_.app_node(s));
     placement::MemoryBroker& broker = world_.broker_at(s);

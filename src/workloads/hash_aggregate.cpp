@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "cluster/cluster.hpp"
-#include "core/availability.hpp"
 #include "core/hash_line_store.hpp"
-#include "core/memory_server.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/cpu_charger.hpp"
 #include "runtime/runner.hpp"
-#include "sched/job.hpp"
+#include "sched/world.hpp"
 #include "sim/process.hpp"
 #include "sim/simulation.hpp"
 #include "transport/stream.hpp"
@@ -23,7 +21,6 @@ namespace {
 
 using cluster::Node;
 using mining::Itemset;
-using net::NodeId;
 using runtime::CpuCharger;
 
 /// Scan-phase payload: a message block of group keys, or the end-of-stream
@@ -46,9 +43,10 @@ mining::Itemset make_key(mining::Item item) {
   return s;
 }
 
-class HashAggregateWorkload final : public runtime::Workload {
+class HashAggregateWorkload final : public sched::PhasedJob {
  public:
-  explicit HashAggregateWorkload(const HashAggregateConfig& cfg) : cfg_(cfg) {
+  explicit HashAggregateWorkload(HashAggregateConfig cfg)
+      : cfg_(std::move(cfg)) {
     RMS_CHECK(cfg_.app_nodes >= 1);
     RMS_CHECK(cfg_.hash_lines >= cfg_.app_nodes);
     RMS_CHECK_MSG(cfg_.memory_limit_bytes < 0 ||
@@ -60,13 +58,13 @@ class HashAggregateWorkload final : public runtime::Workload {
                   "remote policies need at least one memory-available node");
   }
 
-  HashAggregateResult run();
+  /// The run's result, read after World::run_one_job returned.
+  HashAggregateResult result(sched::World& world);
 
-  // ---- sched job mode (shared world; see sched/job.hpp) ----
-  void launch(const sched::JobEnv& env, std::function<void()> on_done);
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes);
-  std::int64_t donated_bytes() const;
-  sched::JobReport harvest();
+  // ---- sched::JobRuntime ----
+  const char* workload_name() const override { return "hash_aggregate"; }
+  void launch(const sched::JobEnv& env,
+              std::function<void()> on_done) override;
 
   // ---- runtime::Workload ----
   void register_phases(runtime::PhaseRegistry& phases) override {
@@ -83,8 +81,8 @@ class HashAggregateWorkload final : public runtime::Workload {
         break;
       case kAggScanPhase: {
         stores_[idx]->set_phase(core::HashLineStore::Phase::kCount);
-        sim::Process sender = sim_->spawn(scan_sender(idx));
-        sim::Process receiver = sim_->spawn(scan_receiver(idx));
+        sim::Process sender = sim().spawn(scan_sender(idx));
+        sim::Process receiver = sim().spawn(scan_receiver(idx));
         co_await sender;
         co_await receiver;
         break;
@@ -102,16 +100,9 @@ class HashAggregateWorkload final : public runtime::Workload {
   }
 
  private:
-  // ---- topology helpers (uniform partition: line mod app_nodes) ----
-  // Scheduled jobs execute on world-assigned slot nodes (ext_app_ids_);
-  // the single-run world uses the identity layout.
-  NodeId app_id(std::size_t idx) const {
-    return ext_app_ids_.empty() ? static_cast<NodeId>(idx)
-                                : ext_app_ids_[idx];
-  }
-  NodeId mem_id(std::size_t idx) const {
-    return static_cast<NodeId>(cfg_.app_nodes + idx);
-  }
+  void fill_report(sched::JobReport& rep) override;
+
+  // ---- partition helpers (uniform: line mod app_nodes) ----
   std::size_t global_line(const Itemset& key) const {
     return static_cast<std::size_t>(key.hash() % cfg_.hash_lines);
   }
@@ -129,30 +120,16 @@ class HashAggregateWorkload final : public runtime::Workload {
   sim::Process scan_sender(std::size_t idx);
   sim::Process scan_receiver(std::size_t idx);
   sim::Task<> collect(std::size_t idx);
-  /// Database/partition/group-key preparation shared by both entry modes.
+  /// Database, partition and group-key preparation.
   void prepare_inputs();
   /// result_.exact: compare result_.groups to a scalar one-pass reference.
   void check_exactness();
 
-  const HashAggregateConfig& cfg_;
-  // Single-run mode owns its simulation and world; a scheduled job borrows
-  // the shared ones and the owning members stay empty.
-  sim::Simulation own_sim_;
-  sim::Simulation* sim_ = &own_sim_;
-  std::unique_ptr<cluster::Cluster> own_cluster_;
-  cluster::Cluster* cluster_ = nullptr;
-  std::vector<NodeId> ext_app_ids_;  // world slot ids (job mode)
-  sched::SlotTable* slots_ = nullptr;
-  std::unique_ptr<runtime::PhasedRunner> runner_;  // job mode only
+  const HashAggregateConfig cfg_;
 
   mining::TransactionDb generated_db_;
   const mining::TransactionDb* db_ = nullptr;
   std::vector<mining::TransactionDb> partitions_;
-
-  std::vector<placement::MemoryBroker*> brokers_;
-  std::vector<std::unique_ptr<placement::MemoryBroker>> own_brokers_;
-  std::vector<std::unique_ptr<core::HashLineStore>> stores_;
-  std::vector<std::unique_ptr<core::MemoryServer>> servers_;
 
   /// Host-precomputed group keys per owner: (local line, item).
   std::vector<std::vector<std::pair<core::LineId, mining::Item>>>
@@ -169,8 +146,8 @@ class HashAggregateWorkload final : public runtime::Workload {
 // ---------------------------------------------------------------------------
 
 sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
-  Node& node = cluster_->node(app_id(idx));
-  const cluster::CostModel& costs = cluster_->node(app_id(idx)).costs();
+  Node& node = app_node(idx);
+  const cluster::CostModel& costs = node.costs();
 
   core::HashLineStore::Config scfg;
   scfg.num_lines = local_line_count(idx);
@@ -182,7 +159,7 @@ sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
   scfg.message_block_bytes = cfg_.message_block_bytes;
   scfg.trace = cfg_.trace;
   stores_[idx] = std::make_unique<core::HashLineStore>(node, scfg,
-                                                       brokers_[idx]);
+                                                       env_.brokers[idx]);
 
   core::HashLineStore& store = *stores_[idx];
   CpuCharger charge(node, costs.per_probe);
@@ -204,7 +181,7 @@ sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
 // ---------------------------------------------------------------------------
 
 sim::Process HashAggregateWorkload::scan_sender(std::size_t idx) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const mining::TransactionDb& part = partitions_[idx];
   const cluster::CostModel& costs = node.costs();
 
@@ -271,7 +248,7 @@ sim::Process HashAggregateWorkload::scan_sender(std::size_t idx) {
 }
 
 sim::Process HashAggregateWorkload::scan_receiver(std::size_t idx) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const cluster::CostModel& costs = node.costs();
   core::HashLineStore& store = *stores_[idx];
 
@@ -307,7 +284,7 @@ sim::Process HashAggregateWorkload::scan_receiver(std::size_t idx) {
 // ---------------------------------------------------------------------------
 
 sim::Task<> HashAggregateWorkload::collect(std::size_t idx) {
-  Node& node = cluster_->node(app_id(idx));
+  Node& node = app_node(idx);
   const cluster::CostModel& costs = node.costs();
   core::HashLineStore& store = *stores_[idx];
 
@@ -390,63 +367,17 @@ void HashAggregateWorkload::check_exactness() {
   }();
 }
 
-HashAggregateResult HashAggregateWorkload::run() {
-  // World construction: the full HPA-style topology — memory servers and
-  // availability monitors on memory nodes, a placement broker and
-  // availability client per application node.
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = cfg_.app_nodes + cfg_.memory_nodes;
-  own_cluster_ = std::make_unique<cluster::Cluster>(*sim_, ccfg);
-  cluster_ = own_cluster_.get();
-  if (cfg_.profiler != nullptr) {
-    for (std::size_t i = 0; i < cluster_->size(); ++i) {
-      cluster_->node(static_cast<NodeId>(i)).set_profile_hook(cfg_.profiler);
-    }
-  }
+void HashAggregateWorkload::launch(const sched::JobEnv& env,
+                                   std::function<void()> on_done) {
+  attach(env, cfg_.app_nodes);
   tuple_tag_ = transport::TagRegistry::global().register_service("agg_tuples");
   gather_tag_ = transport::TagRegistry::global().register_service("agg_gather");
-
   prepare_inputs();
 
-  std::vector<NodeId> memory_ids;
-  std::vector<NodeId> app_ids;
-  for (std::size_t i = 0; i < cfg_.memory_nodes; ++i)
-    memory_ids.push_back(mem_id(i));
-  for (std::size_t i = 0; i < cfg_.app_nodes; ++i) app_ids.push_back(app_id(i));
-
-  servers_.resize(cfg_.memory_nodes);
-  for (std::size_t i = 0; i < cfg_.memory_nodes; ++i) {
-    Node& node = cluster_->node(mem_id(i));
-    core::MemoryServer::Config mscfg;
-    mscfg.message_block_bytes = cfg_.message_block_bytes;
-    mscfg.trace = cfg_.trace;
-    servers_[i] = std::make_unique<core::MemoryServer>(node, mscfg);
-    sim_->spawn(servers_[i]->serve());
-    sim_->spawn(core::availability_monitor(
-        node, core::MonitorConfig{cfg_.monitor_interval, app_ids}));
-  }
-  own_brokers_.resize(cfg_.app_nodes);
-  brokers_.resize(cfg_.app_nodes);
-  stores_.resize(cfg_.app_nodes);
-  for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-    own_brokers_[i] = std::make_unique<placement::MemoryBroker>(
-        memory_ids, cfg_.placement, static_cast<std::uint64_t>(app_id(i)));
-    brokers_[i] = own_brokers_[i].get();
-    if (cfg_.trace != nullptr) {
-      brokers_[i]->set_trace(cfg_.trace, static_cast<std::int32_t>(app_id(i)));
-    }
-    core::ClientConfig clcfg;
-    clcfg.shortage_threshold_bytes = cfg_.shortage_threshold_bytes;
-    sim_->spawn(core::availability_client(
-        cluster_->node(app_id(i)), *brokers_[i], clcfg,
-        [this, i](NodeId holder) -> sim::Task<> {
-          if (stores_[i]) co_await stores_[i]->migrate_away(holder);
-        }));
-  }
-
   if (cfg_.metrics != nullptr) {
+    // Stores are created in the build phase; every gauge null-checks.
     for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
-      const auto node = static_cast<std::int32_t>(n);
+      const auto node = static_cast<std::int32_t>(app_id(n));
       cfg_.metrics->add_gauge("resident_bytes", node, [this, n] {
         return stores_[n] ? static_cast<double>(stores_[n]->resident_bytes())
                           : 0.0;
@@ -460,7 +391,7 @@ HashAggregateResult HashAggregateWorkload::run() {
                           : 0.0;
       });
     }
-    sim_->spawn(obs::sample_process(*sim_, *cfg_.metrics));
+    sim().spawn(obs::sample_process(sim(), *cfg_.metrics));
   }
 
   // One pass of build/scan/collect under the generic phased runner.
@@ -472,168 +403,61 @@ HashAggregateResult HashAggregateWorkload::run() {
   // Let the first availability broadcasts land before any swap decision.
   rcfg.warmup = msec(10);
   rcfg.trace = cfg_.trace;
-  runtime::PhasedRunner runner(*sim_, *this, rcfg);
-  runner.start();
-  sim_->run();
-  RMS_CHECK_MSG(runner.finished(),
-                "simulation drained before the aggregation finished");
+  start_runner(std::move(rcfg), std::move(on_done));
+}
 
-  result_.total_time = runner.total_time();
-  result_.passes = runner.passes();
-  result_.phase_names = runner.phases().names();
+HashAggregateResult HashAggregateWorkload::result(sched::World& world) {
+  result_.total_time = runner().total_time();
+  result_.passes = runner().passes();
+  result_.phase_names = runner().phases().names();
   for (auto& s : stores_) {
     result_.pagefaults += s->pagefaults();
     result_.swap_outs += s->swap_outs();
     result_.updates_sent += s->updates_sent();
   }
-  for (std::size_t i = 0; i < cluster_->size(); ++i) {
-    Node& node = cluster_->node(static_cast<NodeId>(i));
-    result_.stats.merge(node.stats());
-    result_.stats.merge(node.data_disk().stats());
-    result_.stats.merge(node.swap_disk().stats());
-  }
-  result_.stats.merge(cluster_->network().stats());
-
+  result_.stats = world.merged_stats(store_stats());
   check_exactness();
-
-  // Destroy still-suspended daemon frames (monitors, servers) while the
-  // cluster objects their locals reference are alive; drop gauges that
-  // capture this workload before it dies (the recorded series stays).
-  sim_->shutdown();
-  if (cfg_.metrics != nullptr) cfg_.metrics->clear_gauges();
-  return result_;
+  return std::move(result_);
 }
 
-// ---------------------------------------------------------------------------
-// Scheduled-job mode: run inside a shared sched::World.
-// ---------------------------------------------------------------------------
-
-void HashAggregateWorkload::launch(const sched::JobEnv& env,
-                                   std::function<void()> on_done) {
-  RMS_CHECK_MSG(cfg_.metrics == nullptr && cfg_.profiler == nullptr,
-                "scheduled jobs do not own observability sinks");
-  RMS_CHECK(env.sim != nullptr && env.cluster != nullptr);
-  RMS_CHECK_MSG(env.app_nodes.size() == cfg_.app_nodes,
-                "slot lease must match the job's participant count");
-  RMS_CHECK(env.brokers.size() == cfg_.app_nodes);
-  sim_ = env.sim;
-  cluster_ = env.cluster;
-  ext_app_ids_ = env.app_nodes;
-  brokers_ = env.brokers;
-  slots_ = env.slots;
-
-  tuple_tag_ = transport::TagRegistry::global().register_service("agg_tuples");
-  gather_tag_ = transport::TagRegistry::global().register_service("agg_gather");
-  prepare_inputs();
-
-  // Stores are created lazily in the build phase; bind the slots now so
-  // world daemons can reach whatever store the slot carries at that point.
-  stores_.resize(cfg_.app_nodes);
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->bind(app_id(i), [this, i]() -> core::HashLineStore* {
-        return stores_[i].get();
-      });
-    }
-  }
-
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 1;
-  rcfg.max_pass = 1;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  // Availability broadcasts are already flowing in a long-lived world, but
-  // keep the single-run warmup so a job admitted at t=0 behaves alike.
-  rcfg.warmup = msec(10);
-  rcfg.trace = cfg_.trace;
-  rcfg.tracks.reserve(cfg_.app_nodes);
-  for (NodeId id : ext_app_ids_) {
-    rcfg.tracks.push_back(static_cast<std::int32_t>(id));
-  }
-  rcfg.on_finished = std::move(on_done);
-  runner_ = std::make_unique<runtime::PhasedRunner>(*sim_, *this, rcfg);
-  runner_->start();
-}
-
-sim::Task<std::int64_t> HashAggregateWorkload::reclaim(
-    std::int64_t target_bytes) {
-  std::int64_t freed = 0;
-  for (auto& store : stores_) {
-    if (freed >= target_bytes) break;
-    if (store) freed += co_await store->reclaim(target_bytes - freed);
-  }
-  co_return freed;
-}
-
-std::int64_t HashAggregateWorkload::donated_bytes() const {
-  std::int64_t sum = 0;
-  for (const auto& store : stores_) {
-    if (store) sum += store->remote_held_bytes();
-  }
-  return sum;
-}
-
-sched::JobReport HashAggregateWorkload::harvest() {
-  sched::JobReport rep;
-  rep.completed = runner_ != nullptr && runner_->finished();
-  if (runner_ != nullptr) {
-    rep.total_time = runner_->total_time();
-    rep.passes = runner_->passes();
-    rep.phase_names = runner_->phases().names();
-  }
-  for (const auto& store : stores_) {
-    if (!store) continue;
-    rep.pagefaults += store->pagefaults();
-    rep.swap_outs += store->swap_outs();
-    rep.updates_sent += store->updates_sent();
-    rep.degraded_evictions += store->failover().degraded_evictions;
-  }
+void HashAggregateWorkload::fill_report(sched::JobReport& rep) {
+  add_store_counters(rep);
   if (rep.completed) {
     check_exactness();
     rep.exact = result_.exact;
     rep.summary = "groups=" + std::to_string(result_.groups.size());
   }
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->unbind(app_id(i));
-    }
-  }
-  return rep;
 }
-
-/// Owns the config copy and the workload it parameterizes.
-class HashAggregateJob final : public sched::JobRuntime {
- public:
-  explicit HashAggregateJob(HashAggregateConfig cfg)
-      : cfg_(std::move(cfg)), workload_(cfg_) {}
-
-  const char* workload_name() const override { return "hash_aggregate"; }
-  void launch(const sched::JobEnv& env,
-              std::function<void()> on_done) override {
-    workload_.launch(env, std::move(on_done));
-  }
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes) override {
-    return workload_.reclaim(target_bytes);
-  }
-  std::int64_t donated_bytes() const override {
-    return workload_.donated_bytes();
-  }
-  sched::JobReport harvest() override { return workload_.harvest(); }
-
- private:
-  HashAggregateConfig cfg_;
-  HashAggregateWorkload workload_;
-};
 
 }  // namespace
 
 HashAggregateResult run_hash_aggregate(const HashAggregateConfig& config) {
-  HashAggregateWorkload workload(config);
-  return workload.run();
+  sched::WorldConfig wcfg;
+  wcfg.layout = sched::WorldConfig::Layout::kSingleJob;
+  wcfg.app_nodes = config.app_nodes;
+  wcfg.memory_nodes = config.memory_nodes;
+  wcfg.message_block_bytes = config.message_block_bytes;
+  wcfg.monitor_interval = config.monitor_interval;
+  wcfg.shortage_threshold_bytes = config.shortage_threshold_bytes;
+  wcfg.placement = config.placement;
+  wcfg.trace = config.trace;
+  wcfg.profiler = config.profiler;
+  sim::Simulation sim;
+  sched::World world(sim, wcfg);
+  HashAggregateWorkload job(config);
+  world.run_one_job(job);
+  HashAggregateResult result = job.result(world);
+  // Destroy still-suspended frames while the stores they reference are
+  // alive; drop gauges that capture the job (the recorded series stays).
+  sim.shutdown();
+  if (config.metrics != nullptr) config.metrics->clear_gauges();
+  return result;
 }
 
 sched::JobRuntimePtr make_hash_aggregate_job(HashAggregateConfig config) {
-  return std::make_unique<HashAggregateJob>(std::move(config));
+  RMS_CHECK_MSG(config.metrics == nullptr && config.profiler == nullptr,
+                "scheduled jobs do not own observability sinks");
+  return std::make_unique<HashAggregateWorkload>(std::move(config));
 }
 
 }  // namespace rms::workloads

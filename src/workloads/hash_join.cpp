@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/cpu_charger.hpp"
 #include "runtime/runner.hpp"
+#include "sched/world.hpp"
 #include "sim/simulation.hpp"
 
 namespace rms::workloads {
@@ -48,9 +49,9 @@ mining::Itemset make_entry(mining::Item key, std::uint32_t row_id) {
   return s;
 }
 
-class HashJoinWorkload final : public runtime::Workload {
+class HashJoinWorkload final : public sched::PhasedJob {
  public:
-  explicit HashJoinWorkload(const HashJoinConfig& cfg) : cfg_(cfg) {
+  explicit HashJoinWorkload(HashJoinConfig cfg) : cfg_(std::move(cfg)) {
     RMS_CHECK(cfg_.app_nodes >= 1);
     RMS_CHECK(cfg_.lines_per_node >= 1);
     RMS_CHECK_MSG(cfg_.memory_limit_bytes < 0 ||
@@ -58,13 +59,13 @@ class HashJoinWorkload final : public runtime::Workload {
                   "a memory limit needs a swap policy");
   }
 
-  HashJoinResult run();
+  /// The run's result, read after the job's final barrier.
+  HashJoinResult result(StatsRegistry stats);
 
-  // ---- sched job mode (shared world; see sched/job.hpp) ----
-  void launch(const sched::JobEnv& env, std::function<void()> on_done);
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes);
-  std::int64_t donated_bytes() const;
-  sched::JobReport harvest();
+  // ---- sched::JobRuntime ----
+  const char* workload_name() const override { return "hash_join"; }
+  void launch(const sched::JobEnv& env,
+              std::function<void()> on_done) override;
 
   // ---- runtime::Workload ----
   void register_phases(runtime::PhaseRegistry& phases) override {
@@ -91,12 +92,7 @@ class HashJoinWorkload final : public runtime::Workload {
   }
 
  private:
-  // Scheduled jobs execute on world-assigned slot nodes (ext_app_ids_);
-  // the single-run world uses the identity layout.
-  net::NodeId app_id(std::size_t idx) const {
-    return ext_app_ids_.empty() ? static_cast<net::NodeId>(idx)
-                                : ext_app_ids_[idx];
-  }
+  void fill_report(sched::JobReport& rep) override;
 
   // Key -> (owner node, local line).
   std::pair<std::size_t, core::LineId> place(mining::Item key) const {
@@ -107,7 +103,7 @@ class HashJoinWorkload final : public runtime::Workload {
   }
 
   sim::Task<> build(std::size_t idx) {
-    cluster::Node& node = cluster_->node(app_id(idx));
+    cluster::Node& node = app_node(idx);
     core::HashLineStore& store = *stores_[idx];
     // Per-row CPU is charged in chunks on the owning node with the same
     // CpuCharger the miner's scan loops use (tuple parse on build, hash
@@ -130,7 +126,7 @@ class HashJoinWorkload final : public runtime::Workload {
   }
 
   sim::Task<> probe(std::size_t idx) {
-    cluster::Node& node = cluster_->node(app_id(idx));
+    cluster::Node& node = app_node(idx);
     core::HashLineStore& store = *stores_[idx];
     CpuCharger lookup(node, node.costs().per_probe);
     const std::vector<PlacedRow>& rows = probe_by_node_[idx];
@@ -154,27 +150,13 @@ class HashJoinWorkload final : public runtime::Workload {
     std::uint32_t row_id = 0;
   };
 
-  /// Input generation, partitioning, and the scalar reference — shared by
-  /// both entry modes.
+  /// Input generation, partitioning, and the scalar reference.
   void prepare_inputs();
-  /// One store per application node against that node's broker (both
-  /// modes; stores precede the runner and live until harvest/teardown).
+  /// One store per application node against that node's broker (stores
+  /// precede the runner and live until the job is destroyed).
   void create_stores();
 
-  const HashJoinConfig& cfg_;
-  // Single-run mode owns its simulation and world; a scheduled job borrows
-  // the shared ones and the owning members stay empty.
-  sim::Simulation own_sim_;
-  sim::Simulation* sim_ = &own_sim_;
-  std::unique_ptr<cluster::Cluster> own_cluster_;
-  cluster::Cluster* cluster_ = nullptr;
-  std::vector<net::NodeId> ext_app_ids_;  // world slot ids (job mode)
-  sched::SlotTable* slots_ = nullptr;
-  std::unique_ptr<runtime::PhasedRunner> runner_;  // job mode only
-  std::vector<std::unique_ptr<core::MemoryServer>> servers_;
-  std::unique_ptr<placement::MemoryBroker> own_broker_;
-  std::vector<placement::MemoryBroker*> brokers_;  // one per app node
-  std::vector<std::unique_ptr<core::HashLineStore>> stores_;
+  const HashJoinConfig cfg_;
 
   std::vector<std::vector<PlacedRow>> build_by_node_;
   std::vector<std::vector<PlacedRow>> probe_by_node_;
@@ -208,7 +190,6 @@ void HashJoinWorkload::prepare_inputs() {
 }
 
 void HashJoinWorkload::create_stores() {
-  stores_.resize(cfg_.app_nodes);
   for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
     core::HashLineStore::Config scfg;
     scfg.num_lines = cfg_.lines_per_node;
@@ -217,46 +198,22 @@ void HashJoinWorkload::create_stores() {
                                               : cfg_.policy;
     scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
     scfg.trace = cfg_.trace;
-    stores_[n] = std::make_unique<core::HashLineStore>(
-        cluster_->node(app_id(n)), scfg, brokers_[n]);
+    stores_[n] = std::make_unique<core::HashLineStore>(app_node(n), scfg,
+                                                       env_.brokers[n]);
   }
 }
 
-HashJoinResult HashJoinWorkload::run() {
-  // World construction: application nodes first, then memory-available
-  // nodes, one shared broker pre-seeded with their availability (this
-  // workload exercises the swap path, not the monitor protocol).
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = cfg_.app_nodes + cfg_.memory_nodes;
-  own_cluster_ = std::make_unique<cluster::Cluster>(*sim_, ccfg);
-  cluster_ = own_cluster_.get();
-  if (cfg_.profiler != nullptr) {
-    for (std::size_t i = 0; i < cluster_->size(); ++i) {
-      cluster_->node(static_cast<net::NodeId>(i))
-          .set_profile_hook(cfg_.profiler);
-    }
-  }
-  std::vector<net::NodeId> mem_ids;
-  for (std::size_t m = 0; m < cfg_.memory_nodes; ++m) {
-    const auto id = static_cast<net::NodeId>(cfg_.app_nodes + m);
-    mem_ids.push_back(id);
-    core::MemoryServer::Config mscfg;
-    mscfg.trace = cfg_.trace;
-    servers_.push_back(
-        std::make_unique<core::MemoryServer>(cluster_->node(id), mscfg));
-    sim_->spawn(servers_.back()->serve());
-  }
-  own_broker_ = std::make_unique<placement::MemoryBroker>(mem_ids);
-  for (net::NodeId id : mem_ids) {
-    own_broker_->update(core::AvailabilityInfo{id, 32 << 20, 1}, 0);
-  }
-  brokers_.assign(cfg_.app_nodes, own_broker_.get());
+void HashJoinWorkload::launch(const sched::JobEnv& env,
+                              std::function<void()> on_done) {
+  attach(env, cfg_.app_nodes);
   create_stores();
+  // Inputs, their per-node partition, and the scalar reference.
+  prepare_inputs();
 
   if (cfg_.metrics != nullptr) {
     for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
       core::HashLineStore& s = *stores_[n];
-      const auto node = static_cast<std::int32_t>(n);
+      const auto node = static_cast<std::int32_t>(app_id(n));
       cfg_.metrics->add_gauge("resident_bytes", node, [&s] {
         return static_cast<double>(s.resident_bytes());
       });
@@ -267,11 +224,8 @@ HashJoinResult HashJoinWorkload::run() {
         return static_cast<double>(s.disk_lines());
       });
     }
-    sim_->spawn(obs::sample_process(*sim_, *cfg_.metrics));
+    sim().spawn(obs::sample_process(sim(), *cfg_.metrics));
   }
-
-  // Inputs, their per-node partition, and the scalar reference.
-  prepare_inputs();
 
   // One pass of build + probe under the generic phased runner.
   runtime::RunnerConfig rcfg;
@@ -280,150 +234,92 @@ HashJoinResult HashJoinWorkload::run() {
   rcfg.max_pass = 1;
   rcfg.validate_invariants = cfg_.validate_invariants;
   rcfg.trace = cfg_.trace;
-  runtime::PhasedRunner runner(*sim_, *this, rcfg);
-  runner.start();
-  sim_->run();
-  RMS_CHECK_MSG(runner.finished(), "simulation drained before the join did");
+  start_runner(std::move(rcfg), std::move(on_done));
+}
 
+HashJoinResult HashJoinWorkload::result(StatsRegistry stats) {
   result_.output = output_;
-  result_.total_time = runner.total_time();
-  result_.passes = runner.passes();
-  result_.phase_names = runner.phases().names();
+  result_.total_time = runner().total_time();
+  result_.passes = runner().passes();
+  result_.phase_names = runner().phases().names();
   for (auto& s : stores_) result_.pagefaults += s->pagefaults();
-  for (std::size_t i = 0; i < cluster_->size(); ++i) {
-    result_.stats.merge(cluster_->node(static_cast<net::NodeId>(i)).stats());
-  }
-  result_.stats.merge(cluster_->network().stats());
-
-  // Destroy still-suspended daemon frames (servers) while the cluster
-  // objects their locals reference are alive; the gauges registered above
-  // capture stores that die with us — drop them (the series stays).
-  sim_->shutdown();
-  if (cfg_.metrics != nullptr) cfg_.metrics->clear_gauges();
-  return result_;
+  result_.stats = std::move(stats);
+  return std::move(result_);
 }
 
-// ---------------------------------------------------------------------------
-// Scheduled-job mode: run inside a shared sched::World.
-// ---------------------------------------------------------------------------
-
-void HashJoinWorkload::launch(const sched::JobEnv& env,
-                              std::function<void()> on_done) {
-  RMS_CHECK_MSG(cfg_.metrics == nullptr && cfg_.profiler == nullptr,
-                "scheduled jobs do not own observability sinks");
-  RMS_CHECK(env.sim != nullptr && env.cluster != nullptr);
-  RMS_CHECK_MSG(env.app_nodes.size() == cfg_.app_nodes,
-                "slot lease must match the job's participant count");
-  RMS_CHECK(env.brokers.size() == cfg_.app_nodes);
-  sim_ = env.sim;
-  cluster_ = env.cluster;
-  ext_app_ids_ = env.app_nodes;
-  brokers_ = env.brokers;
-  slots_ = env.slots;
-
-  create_stores();
-  prepare_inputs();
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->bind(app_id(i), [this, i]() -> core::HashLineStore* {
-        return stores_[i].get();
-      });
-    }
-  }
-
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 1;
-  rcfg.max_pass = 1;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  rcfg.trace = cfg_.trace;
-  rcfg.tracks.reserve(cfg_.app_nodes);
-  for (net::NodeId id : ext_app_ids_) {
-    rcfg.tracks.push_back(static_cast<std::int32_t>(id));
-  }
-  rcfg.on_finished = std::move(on_done);
-  runner_ = std::make_unique<runtime::PhasedRunner>(*sim_, *this, rcfg);
-  runner_->start();
-}
-
-sim::Task<std::int64_t> HashJoinWorkload::reclaim(std::int64_t target_bytes) {
-  std::int64_t freed = 0;
-  for (auto& store : stores_) {
-    if (freed >= target_bytes) break;
-    if (store) freed += co_await store->reclaim(target_bytes - freed);
-  }
-  co_return freed;
-}
-
-std::int64_t HashJoinWorkload::donated_bytes() const {
-  std::int64_t sum = 0;
-  for (const auto& store : stores_) {
-    if (store) sum += store->remote_held_bytes();
-  }
-  return sum;
-}
-
-sched::JobReport HashJoinWorkload::harvest() {
-  sched::JobReport rep;
-  rep.completed = runner_ != nullptr && runner_->finished();
-  if (runner_ != nullptr) {
-    rep.total_time = runner_->total_time();
-    rep.passes = runner_->passes();
-    rep.phase_names = runner_->phases().names();
-  }
-  for (const auto& store : stores_) {
-    if (!store) continue;
-    rep.pagefaults += store->pagefaults();
-    rep.swap_outs += store->swap_outs();
-    rep.updates_sent += store->updates_sent();
-    rep.degraded_evictions += store->failover().degraded_evictions;
-  }
+void HashJoinWorkload::fill_report(sched::JobReport& rep) {
+  add_store_counters(rep);
   if (rep.completed) {
     result_.output = output_;
     rep.exact = result_.output == result_.expected;
     rep.summary = "output=" + std::to_string(result_.output);
   }
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->unbind(app_id(i));
-    }
-  }
-  return rep;
 }
-
-/// Owns the config copy and the workload it parameterizes.
-class HashJoinJob final : public sched::JobRuntime {
- public:
-  explicit HashJoinJob(HashJoinConfig cfg)
-      : cfg_(std::move(cfg)), workload_(cfg_) {}
-
-  const char* workload_name() const override { return "hash_join"; }
-  void launch(const sched::JobEnv& env,
-              std::function<void()> on_done) override {
-    workload_.launch(env, std::move(on_done));
-  }
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes) override {
-    return workload_.reclaim(target_bytes);
-  }
-  std::int64_t donated_bytes() const override {
-    return workload_.donated_bytes();
-  }
-  sched::JobReport harvest() override { return workload_.harvest(); }
-
- private:
-  HashJoinConfig cfg_;
-  HashJoinWorkload workload_;
-};
 
 }  // namespace
 
 HashJoinResult run_hash_join(const HashJoinConfig& config) {
-  HashJoinWorkload workload(config);
-  return workload.run();
+  // World construction: application nodes first, then memory-available
+  // nodes, one shared broker pre-seeded with their availability (this
+  // workload exercises the swap path, not the monitor protocol).
+  sim::Simulation sim;
+  cluster::ClusterConfig ccfg;
+  ccfg.num_nodes = config.app_nodes + config.memory_nodes;
+  cluster::Cluster cluster(sim, ccfg);
+  if (config.profiler != nullptr) {
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      cluster.node(static_cast<net::NodeId>(i))
+          .set_profile_hook(config.profiler);
+    }
+  }
+  std::vector<net::NodeId> mem_ids;
+  std::vector<std::unique_ptr<core::MemoryServer>> servers;
+  for (std::size_t m = 0; m < config.memory_nodes; ++m) {
+    const auto id = static_cast<net::NodeId>(config.app_nodes + m);
+    mem_ids.push_back(id);
+    core::MemoryServer::Config mscfg;
+    mscfg.trace = config.trace;
+    servers.push_back(
+        std::make_unique<core::MemoryServer>(cluster.node(id), mscfg));
+    sim.spawn(servers.back()->serve());
+  }
+  placement::MemoryBroker broker(mem_ids);
+  for (net::NodeId id : mem_ids) {
+    broker.update(core::AvailabilityInfo{id, 32 << 20, 1}, 0);
+  }
+  sched::JobEnv env;
+  env.sim = &sim;
+  env.cluster = &cluster;
+  for (std::size_t n = 0; n < config.app_nodes; ++n) {
+    env.app_nodes.push_back(static_cast<net::NodeId>(n));
+    env.brokers.push_back(&broker);
+  }
+
+  HashJoinWorkload job(config);
+  bool finished = false;
+  job.launch(env, [&sim, &finished] {
+    finished = true;
+    sim.request_stop();
+  });
+  sim.run();
+  RMS_CHECK_MSG(finished, "simulation drained before the join did");
+  StatsRegistry stats;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    stats.merge(cluster.node(static_cast<net::NodeId>(i)).stats());
+  }
+  stats.merge(cluster.network().stats());
+  HashJoinResult result = job.result(std::move(stats));
+  // Destroy still-suspended frames while the stores they reference are
+  // alive; drop gauges that capture the job (the recorded series stays).
+  sim.shutdown();
+  if (config.metrics != nullptr) config.metrics->clear_gauges();
+  return result;
 }
 
 sched::JobRuntimePtr make_hash_join_job(HashJoinConfig config) {
-  return std::make_unique<HashJoinJob>(std::move(config));
+  RMS_CHECK_MSG(config.metrics == nullptr && config.profiler == nullptr,
+                "scheduled jobs do not own observability sinks");
+  return std::make_unique<HashJoinWorkload>(std::move(config));
 }
 
 }  // namespace rms::workloads

@@ -92,6 +92,17 @@ TEST(HashAggregate, ExactUnderEverySwapBackend) {
   }
 }
 
+TEST(HashAggregate, StatsCarryBackendAndPlacementCounters) {
+  HashAggregateConfig c = small_config();
+  c.memory_limit_bytes = 256;
+  c.policy = core::SwapPolicy::kRemoteSwap;
+  const HashAggregateResult r = run_hash_aggregate(c);
+  ASSERT_GT(r.swap_outs, 0);
+  EXPECT_EQ(r.stats.counter("backend.remote.swap_outs"), r.swap_outs);
+  EXPECT_EQ(r.stats.counter("backend.remote.faults"), r.pagefaults);
+  EXPECT_EQ(r.stats.counter("placement.paper-rr.chosen"), r.swap_outs);
+}
+
 TEST(HashAggregate, RunsAreDeterministic) {
   HashAggregateConfig c = small_config();
   c.memory_limit_bytes = 256;

@@ -361,6 +361,36 @@ TEST(Scheduler, SizeCappedHpaJobIsCheckedAgainstACappedReference) {
   EXPECT_TRUE(job.report.exact);
 }
 
+TEST(World, SingleJobLayoutKeepsStandaloneNodeIds) {
+  sim::Simulation sim;
+  WorldConfig cfg = small_world(3, 2);
+  cfg.layout = WorldConfig::Layout::kSingleJob;
+  World world(sim, cfg);
+  EXPECT_FALSE(world.has_scheduler());
+  EXPECT_EQ(world.cluster().size(), 5u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(world.app_node(i), static_cast<net::NodeId>(i));
+  }
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(world.memory_node(j), static_cast<net::NodeId>(3 + j));
+  }
+  EXPECT_EQ(world.memory_ids(), (std::vector<net::NodeId>{3, 4}));
+  EXPECT_DEATH(world.scheduler_broker(), "no scheduler");
+}
+
+TEST(World, DefaultLayoutPutsTheSchedulerOnNodeZero) {
+  sim::Simulation sim;
+  World world(sim, small_world(3, 2));
+  EXPECT_TRUE(world.has_scheduler());
+  EXPECT_EQ(world.scheduler_node(), 0);
+  EXPECT_EQ(world.cluster().size(), 6u);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(world.app_node(s), static_cast<net::NodeId>(1 + s));
+  }
+  EXPECT_EQ(world.memory_ids(), (std::vector<net::NodeId>{4, 5}));
+  EXPECT_EQ(world.scheduler_broker().memory_nodes(), world.memory_ids());
+}
+
 TEST(Arrivals, PoissonTraceIsDeterministicSortedAndSeedSensitive) {
   const std::vector<Time> a = poisson_arrivals(16, msec(2000), 7);
   const std::vector<Time> b = poisson_arrivals(16, msec(2000), 7);
