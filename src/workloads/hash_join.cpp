@@ -5,9 +5,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
-#include "core/availability.hpp"
 #include "core/hash_line_store.hpp"
-#include "core/memory_server.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/cpu_charger.hpp"
 #include "runtime/runner.hpp"
@@ -60,7 +58,7 @@ class HashJoinWorkload final : public sched::PhasedJob {
   }
 
   /// The run's result, read after the job's final barrier.
-  HashJoinResult result(StatsRegistry stats);
+  HashJoinResult result(sched::World& world);
 
   // ---- sched::JobRuntime ----
   const char* workload_name() const override { return "hash_join"; }
@@ -237,13 +235,13 @@ void HashJoinWorkload::launch(const sched::JobEnv& env,
   start_runner(std::move(rcfg), std::move(on_done));
 }
 
-HashJoinResult HashJoinWorkload::result(StatsRegistry stats) {
+HashJoinResult HashJoinWorkload::result(sched::World& world) {
   result_.output = output_;
   result_.total_time = runner().total_time();
   result_.passes = runner().passes();
   result_.phase_names = runner().phases().names();
   for (auto& s : stores_) result_.pagefaults += s->pagefaults();
-  result_.stats = std::move(stats);
+  result_.stats = world.merged_stats(store_stats());
   return std::move(result_);
 }
 
@@ -259,56 +257,17 @@ void HashJoinWorkload::fill_report(sched::JobReport& rep) {
 }  // namespace
 
 HashJoinResult run_hash_join(const HashJoinConfig& config) {
-  // World construction: application nodes first, then memory-available
-  // nodes, one shared broker pre-seeded with their availability (this
-  // workload exercises the swap path, not the monitor protocol).
+  sched::WorldConfig wcfg;
+  wcfg.layout = sched::WorldConfig::Layout::kSingleJob;
+  wcfg.app_nodes = config.app_nodes;
+  wcfg.memory_nodes = config.memory_nodes;
+  wcfg.trace = config.trace;
+  wcfg.profiler = config.profiler;
   sim::Simulation sim;
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = config.app_nodes + config.memory_nodes;
-  cluster::Cluster cluster(sim, ccfg);
-  if (config.profiler != nullptr) {
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      cluster.node(static_cast<net::NodeId>(i))
-          .set_profile_hook(config.profiler);
-    }
-  }
-  std::vector<net::NodeId> mem_ids;
-  std::vector<std::unique_ptr<core::MemoryServer>> servers;
-  for (std::size_t m = 0; m < config.memory_nodes; ++m) {
-    const auto id = static_cast<net::NodeId>(config.app_nodes + m);
-    mem_ids.push_back(id);
-    core::MemoryServer::Config mscfg;
-    mscfg.trace = config.trace;
-    servers.push_back(
-        std::make_unique<core::MemoryServer>(cluster.node(id), mscfg));
-    sim.spawn(servers.back()->serve());
-  }
-  placement::MemoryBroker broker(mem_ids);
-  for (net::NodeId id : mem_ids) {
-    broker.update(core::AvailabilityInfo{id, 32 << 20, 1}, 0);
-  }
-  sched::JobEnv env;
-  env.sim = &sim;
-  env.cluster = &cluster;
-  for (std::size_t n = 0; n < config.app_nodes; ++n) {
-    env.app_nodes.push_back(static_cast<net::NodeId>(n));
-    env.brokers.push_back(&broker);
-  }
-
+  sched::World world(sim, wcfg);
   HashJoinWorkload job(config);
-  bool finished = false;
-  job.launch(env, [&sim, &finished] {
-    finished = true;
-    sim.request_stop();
-  });
-  sim.run();
-  RMS_CHECK_MSG(finished, "simulation drained before the join did");
-  StatsRegistry stats;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    stats.merge(cluster.node(static_cast<net::NodeId>(i)).stats());
-  }
-  stats.merge(cluster.network().stats());
-  HashJoinResult result = job.result(std::move(stats));
+  world.run_one_job(job);
+  HashJoinResult result = job.result(world);
   // Destroy still-suspended frames while the stores they reference are
   // alive; drop gauges that capture the job (the recorded series stays).
   sim.shutdown();

@@ -72,17 +72,22 @@ struct HashJoinResult {
   std::vector<std::string> phase_names;
   std::int64_t pagefaults = 0;
 
-  /// Merged counters from every node and the network.
+  /// Merged counters from every node, disk, the network, the stores'
+  /// backends and the placement brokers.
   StatsRegistry stats;
 };
 
+/// Runs the join alone on a single-job sched::World: memory servers with
+/// availability monitors on the memory_nodes donors, and a broker and
+/// availability client per application node. The join starts at t=0,
+/// before the first broadcast lands, so its first evictions may degrade to
+/// the local disk.
 HashJoinResult run_hash_join(const HashJoinConfig& config);
 
-/// Scheduled-job mode: the same join parameterized by `config`, run inside
-/// a shared sched::World on scheduler-leased slots. config.metrics and
-/// config.profiler must be null; config.memory_nodes is ignored — the
-/// world supplies the donor pool (and its brokers, fed by live
-/// availability broadcasts rather than this module's pre-seeded view).
+/// The same join as a job for a shared sched::World, run on
+/// scheduler-leased slots. config.metrics and config.profiler must be
+/// null; config.memory_nodes is ignored — the world supplies the donor
+/// pool.
 sched::JobRuntimePtr make_hash_join_job(HashJoinConfig config);
 
 }  // namespace rms::workloads
