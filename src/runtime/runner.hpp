@@ -9,10 +9,10 @@
 // last barrier releases (memory servers and monitors run forever by
 // design).
 //
-// The runner does NOT own world construction — clusters, stores, brokers,
-// servers, and fault plans are workload-specific and stay with the
-// workload's run_*() entry point. The caller spawns its daemons, calls
-// start(), then sim.run().
+// The runner does NOT own world construction — sched::World builds the
+// cluster, servers, brokers and fault plan, and the workload its stores
+// (sched::PhasedJob starts the runner on the job's slots). The caller
+// spawns its daemons, calls start(), then sim.run().
 #pragma once
 
 #include <cstddef>

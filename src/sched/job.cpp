@@ -29,10 +29,7 @@ void PhasedJob::attach(const JobEnv& env, std::size_t participants) {
 
 void PhasedJob::start_runner(runtime::RunnerConfig rcfg,
                              std::function<void()> on_done) {
-  rcfg.tracks.clear();
-  for (net::NodeId id : env_.app_nodes) {
-    rcfg.tracks.push_back(static_cast<std::int32_t>(id));
-  }
+  rcfg.tracks.assign(env_.app_nodes.begin(), env_.app_nodes.end());
   rcfg.on_finished = std::move(on_done);
   runner_ = std::make_unique<runtime::PhasedRunner>(sim(), *this, rcfg);
   runner_->start();

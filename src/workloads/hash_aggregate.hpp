@@ -92,16 +92,19 @@ struct HashAggregateResult {
   std::int64_t swap_outs = 0;
   std::int64_t updates_sent = 0;
 
-  /// Merged counters from every node, disk, and the network.
+  /// Merged counters from every node, disk, the network, the stores'
+  /// backends and the placement brokers.
   StatsRegistry stats;
 };
 
 HashAggregateResult run_hash_aggregate(const HashAggregateConfig& config);
 
-/// Scheduled-job mode: the same workload parameterized by `config`, run
-/// inside a shared sched::World on scheduler-leased slots. config.metrics
-/// and config.profiler must be null (the shared world cannot attribute
-/// them per job); config.trace may point at the world's shared recorder.
+/// The same workload as a job for a shared sched::World, run on
+/// scheduler-leased slots. config.metrics and config.profiler must be null
+/// (the shared world cannot attribute them per job); the world-level
+/// fields (memory_nodes, monitor_interval, shortage_threshold_bytes,
+/// placement) are ignored. config.trace may point at the world's shared
+/// recorder.
 sched::JobRuntimePtr make_hash_aggregate_job(HashAggregateConfig config);
 
 }  // namespace rms::workloads
