@@ -578,7 +578,7 @@ void HpaWorkload::finish_pass_report(const runtime::PassTiming& timing) {
 }
 
 // ---------------------------------------------------------------------------
-// Top-level run.
+// Inputs, launch and result.
 // ---------------------------------------------------------------------------
 
 void HpaWorkload::prepare_inputs() {

@@ -321,7 +321,7 @@ sim::Task<> HashAggregateWorkload::collect(std::size_t idx) {
 }
 
 // ---------------------------------------------------------------------------
-// Top-level run.
+// Inputs, launch and result.
 // ---------------------------------------------------------------------------
 
 void HashAggregateWorkload::prepare_inputs() {
