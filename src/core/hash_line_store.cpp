@@ -14,6 +14,8 @@ HashLineStore::HashLineStore(cluster::Node& node, Config config,
       broker_(broker),
       eviction_rng_(config.eviction_seed,
                     static_cast<std::uint64_t>(node.id()) * 2 + 1) {
+  // A store without a limit never evicts, so it runs no swap policy.
+  if (config_.memory_limit_bytes < 0) config_.policy = SwapPolicy::kNoLimit;
   RMS_CHECK(config_.num_lines > 0);
   RMS_CHECK_MSG(config_.replicate_k >= 0 && config_.replicate_k <= 1,
                 "replicate_k supports at most one backup copy");

@@ -78,7 +78,7 @@ class HashLineStore {
   struct Config {
     std::size_t num_lines = 1;            // local hash lines on this node
     std::int64_t memory_limit_bytes = -1; // -1: no limit
-    SwapPolicy policy = SwapPolicy::kNoLimit;
+    SwapPolicy policy = SwapPolicy::kNoLimit;  // kNoLimit when no limit
     /// Victim selection (the paper uses LRU, §4.3).
     EvictionPolicy eviction = EvictionPolicy::kLru;
     std::uint64_t eviction_seed = 0x11ce;  // for EvictionPolicy::kRandom

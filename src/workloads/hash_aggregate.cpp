@@ -7,12 +7,10 @@
 #include "cluster/cluster.hpp"
 #include "core/hash_line_store.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/cpu_charger.hpp"
 #include "runtime/runner.hpp"
+#include "sched/data_path.hpp"
 #include "sched/world.hpp"
-#include "sim/process.hpp"
 #include "sim/simulation.hpp"
-#include "transport/stream.hpp"
 #include "transport/tags.hpp"
 #include "transport/transport.hpp"
 
@@ -21,27 +19,12 @@ namespace {
 
 using cluster::Node;
 using mining::Itemset;
-using runtime::CpuCharger;
-
-/// Scan-phase payload: a message block of group keys, or the end-of-stream
-/// marker a sender broadcasts after finishing its partition.
-struct AggMsg {
-  std::vector<mining::Item> items;
-  bool eos = false;
-};
+using sched::shuffle_key;
 
 /// Collect-phase payload: one node's owned (item, count) groups.
 struct AggGroups {
   std::vector<mining::CountedItemset> groups;
 };
-
-mining::Itemset make_key(mining::Item item) {
-  // A plain function because GCC 12 miscompiles initializer-list
-  // construction inside coroutines ("array used as initializer").
-  mining::Itemset s;
-  s.push_back(item);
-  return s;
-}
 
 class HashAggregateWorkload final : public sched::PhasedJob {
  public:
@@ -79,14 +62,9 @@ class HashAggregateWorkload final : public sched::PhasedJob {
       case kAggBuildPhase:
         co_await build(idx);
         break;
-      case kAggScanPhase: {
-        stores_[idx]->set_phase(core::HashLineStore::Phase::kCount);
-        sim::Process sender = sim().spawn(scan_sender(idx));
-        sim::Process receiver = sim().spawn(scan_receiver(idx));
-        co_await sender;
-        co_await receiver;
+      case kAggScanPhase:
+        co_await scan(idx);
         break;
-      }
       case kAggCollectPhase:
         co_await collect(idx);
         break;
@@ -103,22 +81,18 @@ class HashAggregateWorkload final : public sched::PhasedJob {
   void fill_report(sched::JobReport& rep) override;
 
   // ---- partition helpers (uniform: line mod app_nodes) ----
-  std::size_t global_line(const Itemset& key) const {
-    return static_cast<std::size_t>(key.hash() % cfg_.hash_lines);
-  }
-  std::size_t owner_of_line(std::size_t gline) const {
-    return gline % cfg_.app_nodes;
-  }
-  core::LineId local_line(std::size_t gline) const {
-    return static_cast<core::LineId>(gline / cfg_.app_nodes);
+  /// A group key's (owner participant, local line).
+  std::pair<std::size_t, core::LineId> place(const Itemset& key) const {
+    const auto gline = static_cast<std::size_t>(key.hash() % cfg_.hash_lines);
+    return {gline % cfg_.app_nodes,
+            static_cast<core::LineId>(gline / cfg_.app_nodes)};
   }
   std::size_t local_line_count(std::size_t idx) const {
     return (cfg_.hash_lines + cfg_.app_nodes - 1 - idx) / cfg_.app_nodes;
   }
 
   sim::Task<> build(std::size_t idx);
-  sim::Process scan_sender(std::size_t idx);
-  sim::Process scan_receiver(std::size_t idx);
+  sim::Task<> scan(std::size_t idx);
   sim::Task<> collect(std::size_t idx);
   /// Database, partition and group-key preparation.
   void prepare_inputs();
@@ -147,13 +121,11 @@ class HashAggregateWorkload final : public sched::PhasedJob {
 
 sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
   Node& node = app_node(idx);
-  const cluster::CostModel& costs = node.costs();
 
   core::HashLineStore::Config scfg;
   scfg.num_lines = local_line_count(idx);
   scfg.memory_limit_bytes = cfg_.memory_limit_bytes;
-  scfg.policy = cfg_.memory_limit_bytes < 0 ? core::SwapPolicy::kNoLimit
-                                            : cfg_.policy;
+  scfg.policy = cfg_.policy;
   scfg.eviction = cfg_.eviction;
   scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
   scfg.message_block_bytes = cfg_.message_block_bytes;
@@ -161,122 +133,30 @@ sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
   stores_[idx] = std::make_unique<core::HashLineStore>(node, scfg,
                                                        env_.brokers[idx]);
 
-  core::HashLineStore& store = *stores_[idx];
-  CpuCharger charge(node, costs.per_probe);
   const auto& groups = groups_by_owner_[idx];
-  const auto line_at = [&groups](std::size_t j) { return groups[j].first; };
-  store.size_lines(groups.size(), line_at);
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    store.prefetch_ahead(i, groups.size(), line_at);
-    const core::LineId line = groups[i].first;
-    const Itemset key = make_key(groups[i].second);
-    if (!store.try_insert(line, key)) co_await store.insert(line, key);
-    if (charge.add(1)) co_await charge.flush();
-  }
-  co_await charge.flush();
+  co_await sched::build_lines(
+      node, *stores_[idx], groups.size(), node.costs().per_probe,
+      [&groups](std::size_t j) { return groups[j].first; },
+      [&groups](std::size_t j) { return shuffle_key(groups[j].second); });
 }
 
 // ---------------------------------------------------------------------------
 // scan: partition scan ships keyed tuples; owners probe their store.
 // ---------------------------------------------------------------------------
 
-sim::Process HashAggregateWorkload::scan_sender(std::size_t idx) {
-  Node& node = app_node(idx);
-  const mining::TransactionDb& part = partitions_[idx];
-  const cluster::CostModel& costs = node.costs();
-
-  // One byte-budgeted stream per destination, rounded to whole tuples.
-  const std::int64_t tuple_wire_bytes = 8;  // item + framing
-  const std::int64_t batch_capacity =
-      std::max<std::int64_t>(1, cfg_.message_block_bytes / tuple_wire_bytes);
-  std::vector<transport::Stream<AggMsg>> streams;
-  streams.reserve(cfg_.app_nodes);
-  for (std::size_t j = 0; j < cfg_.app_nodes; ++j) {
-    streams.emplace_back(batch_capacity * tuple_wire_bytes);
-  }
-  auto flush = [&](std::size_t owner) -> sim::Task<> {
-    if (streams[owner].empty()) co_return;
-    auto closed = streams[owner].take();
-    node.send_to(app_id(owner), tuple_tag_, closed.bytes,
-                 std::move(closed.batch));
-    co_await node.compute(costs.per_message_cpu);
-  };
-
-  // Scan the local partition from the data disk in io_block_bytes reads.
-  const std::int64_t bytes_per_tx =
-      part.empty() ? 1 : std::max<std::int64_t>(1, part.approx_bytes() /
-                              static_cast<std::int64_t>(part.size()));
-  std::int64_t pending_bytes = 0;
-  CpuCharger parse(node, costs.per_tx_parse);
-  CpuCharger gen(node, costs.per_itemset_generate);
-  for (std::size_t t = 0; t < part.size(); ++t) {
-    pending_bytes += bytes_per_tx;
-    if (pending_bytes >= cfg_.io_block_bytes) {
-      co_await node.data_disk().read(cfg_.io_block_bytes,
-                                     disk::Access::kSequential);
-      pending_bytes = 0;
-    }
-    if (parse.add(1)) co_await parse.flush();
-    if (gen.add(static_cast<std::int64_t>(part.tx(t).size()))) {
-      co_await gen.flush();
-    }
-    for (mining::Item item : part.tx(t)) {
-      const std::size_t owner = owner_of_line(global_line(make_key(item)));
-      transport::Stream<AggMsg>& stream = streams[owner];
-      stream.open().items.push_back(item);
-      stream.note(tuple_wire_bytes);
-      if (stream.due()) co_await flush(owner);
-    }
-  }
-  if (pending_bytes > 0) {
-    co_await node.data_disk().read(pending_bytes, disk::Access::kSequential);
-  }
-  co_await parse.flush();
-  co_await gen.flush();
-
-  // Flush stragglers, then broadcast end-of-stream (FIFO per destination
-  // keeps every data block ahead of the marker).
-  for (std::size_t owner = 0; owner < cfg_.app_nodes; ++owner) {
-    co_await flush(owner);
-  }
-  for (std::size_t owner = 0; owner < cfg_.app_nodes; ++owner) {
-    AggMsg eos;
-    eos.eos = true;
-    node.send_to(app_id(owner), tuple_tag_, 16, std::move(eos));
-    co_await node.compute(costs.per_message_cpu);
-  }
-}
-
-sim::Process HashAggregateWorkload::scan_receiver(std::size_t idx) {
-  Node& node = app_node(idx);
-  const cluster::CostModel& costs = node.costs();
-  core::HashLineStore& store = *stores_[idx];
-
-  std::size_t eos_seen = 0;
-  std::vector<core::LineId> lines;
-  std::vector<Itemset> keys;
-  transport::Inbox inbox(node, tuple_tag_);
-  while (eos_seen < cfg_.app_nodes) {
-    net::Message msg = co_await inbox.recv();
-    const auto& data = msg.as<AggMsg>();
-    if (data.eos) {
-      ++eos_seen;
-      continue;
-    }
-    co_await node.compute(costs.per_message_cpu +
-                          costs.per_probe *
-                              static_cast<std::int64_t>(data.items.size()));
-    lines.clear();
-    keys.clear();
-    for (mining::Item item : data.items) {
-      const Itemset key = make_key(item);
-      const std::size_t gline = global_line(key);
-      RMS_CHECK(owner_of_line(gline) == idx);
-      lines.push_back(local_line(gline));
-      keys.push_back(key);
-    }
-    co_await store.probe_block(lines, keys);
-  }
+sim::Task<> HashAggregateWorkload::scan(std::size_t idx) {
+  sched::ShuffleSpec spec;
+  spec.tag = tuple_tag_;
+  spec.element_bytes = 8;  // item + framing
+  spec.block_bytes = cfg_.message_block_bytes;
+  spec.io_block_bytes = cfg_.io_block_bytes;
+  co_await sched::shuffle_phase<mining::Item>(
+      app_node(idx), env_.app_nodes, idx, *stores_[idx], partitions_[idx],
+      spec,
+      [](std::span<const mining::Item> tx, std::vector<mining::Item>& out) {
+        out.assign(tx.begin(), tx.end());
+      },
+      [this](const Itemset& key) { return place(key); });
 }
 
 // ---------------------------------------------------------------------------
@@ -338,9 +218,8 @@ void HashAggregateWorkload::prepare_inputs() {
   // Host-side key partition: every item that can appear is a group.
   groups_by_owner_.assign(cfg_.app_nodes, {});
   for (mining::Item item = 0; item < cfg_.workload.num_items; ++item) {
-    const std::size_t gline = global_line(make_key(item));
-    groups_by_owner_[owner_of_line(gline)].emplace_back(local_line(gline),
-                                                        item);
+    const auto [owner, line] = place(shuffle_key(item));
+    groups_by_owner_[owner].emplace_back(line, item);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/cpu_charger.hpp"
 #include "runtime/runner.hpp"
+#include "sched/data_path.hpp"
 #include "sched/world.hpp"
 #include "sim/simulation.hpp"
 
@@ -102,25 +103,17 @@ class HashJoinWorkload final : public sched::PhasedJob {
 
   sim::Task<> build(std::size_t idx) {
     cluster::Node& node = app_node(idx);
-    core::HashLineStore& store = *stores_[idx];
-    // Per-row CPU is charged in chunks on the owning node with the same
-    // CpuCharger the miner's scan loops use (tuple parse on build, hash
-    // probe on probe), keeping events proportional to faults, not rows.
-    CpuCharger parse(node, node.costs().per_tx_parse);
+    // Per-row CPU is charged in chunks on the owning node, like every
+    // workload loop (tuple parse on build, hash probe on probe), keeping
+    // events proportional to faults, not rows.
     const std::vector<PlacedRow>& rows = build_by_node_[idx];
-    const auto line_at = [&rows](std::size_t j) { return rows[j].line; };
-    store.size_lines(rows.size(), line_at);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      store.prefetch_ahead(i, rows.size(), line_at);
-      const PlacedRow& row = rows[i];
-      const mining::Itemset entry = make_entry(row.key, row.row_id);
-      if (!store.try_insert(row.line, entry)) {
-        co_await store.insert(row.line, entry);
-      }
-      if (parse.add(1)) co_await parse.flush();
-    }
-    co_await parse.flush();
-    store.set_phase(core::HashLineStore::Phase::kCount);
+    co_await sched::build_lines(
+        node, *stores_[idx], rows.size(), node.costs().per_tx_parse,
+        [&rows](std::size_t j) { return rows[j].line; },
+        [&rows](std::size_t j) {
+          return make_entry(rows[j].key, rows[j].row_id);
+        });
+    stores_[idx]->set_phase(core::HashLineStore::Phase::kCount);
   }
 
   sim::Task<> probe(std::size_t idx) {
@@ -192,8 +185,7 @@ void HashJoinWorkload::create_stores() {
     core::HashLineStore::Config scfg;
     scfg.num_lines = cfg_.lines_per_node;
     scfg.memory_limit_bytes = cfg_.memory_limit_bytes;
-    scfg.policy = cfg_.memory_limit_bytes < 0 ? core::SwapPolicy::kNoLimit
-                                              : cfg_.policy;
+    scfg.policy = cfg_.policy;
     scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
     scfg.trace = cfg_.trace;
     stores_[n] = std::make_unique<core::HashLineStore>(app_node(n), scfg,
