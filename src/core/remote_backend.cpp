@@ -382,68 +382,58 @@ sim::Task<> RemoteBackend::fault_in(LineId id) {
   RMS_CHECK(l.where == Where::kRemote);
   ++*faults_;
   l.where = Where::kFaulting;
-  bool have_content = false;
-  while (!have_content) {
-    const net::NodeId holder = l.holder;
-    bool lost = false;
-    bool corrupt = false;
-    if (holder_suspect(holder)) {
-      lost = true;
-    } else {
-      MemRequest req;
-      req.kind = MemRequest::Kind::kSwapIn;
-      req.owner = node_.id();
-      req.line_id = id;
-      cluster::RpcResult res = co_await rpc(net::Message::make(
-          node_.id(), holder, kMemService, 32, std::move(req)));
-      if (!res.ok()) {
-        // Every deadline missed: the holder is gone (the transport callback
-        // marked it suspect as the last deadline expired). Re-home
-        // everything it held — this line is kFaulting, so the handler skips
-        // it and leaves it to us.
-        co_await on_holder_failure(holder);
-        lost = true;
-      } else {
-        const auto& rep = res.reply->as<MemReply>();
-        co_await node_.compute(node_.costs().per_message_cpu);
-        if (rep.ok) {
-          RMS_CHECK(rep.lines.size() == 1 && rep.lines[0].line_id == id);
-          if (!verify_payload(rep.lines[0], holder)) {
-            // Corrupted in storage or on the wire: never use it. Repair
-            // from the replica (or disk copy) instead.
-            corrupt = true;
-            lost = true;
-          } else {
-            l.entries = rep.lines[0].entries;
-            hold_erase(holder, id);
-            drop_backup(id);
-            unreplicated_.erase(id);
-            unmirrored_shadow_.erase(id);  // home again; snapshot is garbage
-            have_content = true;
-          }
-        } else {
-          // The holder answered but no longer has the line: it crashed and
-          // restarted in between. The node itself is fine.
-          node_.stats().bump("store.swap_in_lost");
-          lost = true;
-        }
-      }
-    }
-    if (lost) {
-      hold_erase(holder, id);
-      co_await recover_lost_line(
-          id, corrupt ? RecoverCause::kCorrupt : RecoverCause::kLost);
-      if (l.where == Where::kRemote) {
-        // Promoted to a surviving backup: retry the swap-in there.
-        l.where = Where::kFaulting;
-        continue;
-      }
-      // Orphaned (resident and empty) or repaired from the local disk
-      // copy: either way the line is resident and nothing is left to load.
-      co_return;
-    }
+  while (!co_await swap_in(id, l.holder)) {
+    // Orphaned (resident and empty) or repaired from the local disk copy:
+    // either way the line is resident and nothing is left to load.
+    if (l.where != Where::kRemote) co_return;
+    // Promoted to a surviving backup: retry the swap-in there.
+    l.where = Where::kFaulting;
   }
   // Still kFaulting with contents restored; the store finishes residency.
+}
+
+sim::Task<bool> RemoteBackend::swap_in(LineId id, net::NodeId holder) {
+  auto& l = store_.line(id);
+  RecoverCause cause = RecoverCause::kLost;
+  if (!holder_suspect(holder)) {
+    MemRequest req;
+    req.kind = MemRequest::Kind::kSwapIn;
+    req.owner = node_.id();
+    req.line_id = id;
+    cluster::RpcResult res = co_await rpc(net::Message::make(
+        node_.id(), holder, kMemService, 32, std::move(req)));
+    if (!res.ok()) {
+      // Every deadline missed: the holder is gone (the transport callback
+      // marked it suspect as the last deadline expired). Re-home everything
+      // it held — the caller pinned this line, so the handler skips it and
+      // leaves it to the recovery below.
+      co_await on_holder_failure(holder);
+    } else {
+      const auto& rep = res.reply->as<MemReply>();
+      co_await node_.compute(node_.costs().per_message_cpu);
+      if (!rep.ok) {
+        // The holder answered but no longer has the line: it crashed and
+        // restarted in between. The node itself is fine.
+        node_.stats().bump("store.swap_in_lost");
+      } else {
+        RMS_CHECK(rep.lines.size() == 1 && rep.lines[0].line_id == id);
+        if (verify_payload(rep.lines[0], holder)) {
+          l.entries = rep.lines[0].entries;
+          hold_erase(holder, id);
+          drop_backup(id);
+          unreplicated_.erase(id);
+          unmirrored_shadow_.erase(id);  // home again; snapshot is garbage
+          co_return true;
+        }
+        // Corrupted in storage or on the wire: never use it. Repair from
+        // the replica (or disk copy) instead.
+        cause = RecoverCause::kCorrupt;
+      }
+    }
+  }
+  hold_erase(holder, id);
+  co_await recover_lost_line(id, cause);
+  co_return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -494,6 +484,11 @@ bool RemoteBackend::queue_update(LineId id, const mining::Itemset& itemset) {
     if (stream.empty()) {
       stream.open().kind = MemRequest::Kind::kUpdateBatch;
       stream.open().owner = node_.id();
+      // The byte budget fixes the batch's op count: allocate it once.
+      const std::int64_t op_bytes =
+          std::max<std::int64_t>(1, store_.config().update_op_bytes);
+      stream.open().updates.reserve(static_cast<std::size_t>(
+          (stream.budget() + op_bytes - 1) / op_bytes));
     }
     stream.open().updates.push_back(UpdateOp{id, itemset});
     stream.note(store_.config().update_op_bytes);
@@ -569,87 +564,26 @@ sim::Task<bool> RemoteBackend::collect_fetch() {
   }
   if (holders.empty()) co_return false;
   std::sort(holders.begin(), holders.end());
-  if (xport_.window() >= 2 && holders.size() >= 2) {
+  if (xport_.window() >= 2) {
     // Overlap the per-holder fetch round-trips instead of serializing them.
-    co_await collect_fetch_pipelined(holders);
-    co_return true;
-  }
-  for (net::NodeId holder : holders) {
-    auto& held = lines_by_holder_[holder];
-    if (held.empty()) continue;
-    // Snapshot and pin: kFaulting keeps the concurrent failure handler off
-    // these lines — whatever happens, this loop re-homes them. Lines a
-    // concurrent migrate/reclaim parked (kMigrating) after the caller's
-    // settle scan stay with that coroutine; it fires their triggers when it
-    // settles them and the caller re-scans.
-    std::vector<LineId> candidates(held.begin(), held.end());
-    std::sort(candidates.begin(), candidates.end());
-    std::vector<LineId> ids;
-    for (LineId id : candidates) {
-      if (store_.line(id).where != Where::kRemote) {
-        node_.stats().bump("store.collect_skipped_inflight");
-        continue;
-      }
-      store_.line(id).where = Where::kFaulting;
-      ids.push_back(id);
-    }
-    if (ids.empty()) continue;
-    for (LineId id : ids) hold_erase(holder, id);
-
-    std::unordered_set<LineId> got;
-    std::unordered_set<LineId> corrupt_ids;
-    if (!holder_suspect(holder)) {
-      MemRequest req;
-      req.kind = MemRequest::Kind::kFetch;
-      req.owner = node_.id();
-      req.fetch_min_count = store_.config().fetch_filter_min_count;
-      cluster::RpcResult res = co_await rpc(net::Message::make(
-          node_.id(), holder, kMemService, 32, std::move(req)));
-      if (res.ok()) {
-        const auto& rep = res.reply->as<MemReply>();
-        co_await node_.compute(node_.costs().per_message_cpu);
-        for (const LinePayload& payload : rep.lines) {
-          auto& l = store_.line(payload.line_id);
-          if (l.where != Where::kFaulting || l.holder != holder) {
-            // A stale primary from a false suspicion handled earlier; the
-            // authoritative copy lives elsewhere.
-            node_.stats().bump("store.stale_fetch_lines");
-            continue;
-          }
-          if (!verify_payload(payload, holder)) {
-            corrupt_ids.insert(payload.line_id);
-            continue;  // repaired from the replica below, never used
-          }
-          l.entries = payload.entries;
-          store_.make_resident(payload.line_id);
-          drop_backup(payload.line_id);
-          unreplicated_.erase(payload.line_id);
-          got.insert(payload.line_id);
-        }
-      } else {
-        co_await on_holder_failure(holder);
-      }
-    }
-    // Lines the holder no longer has (crash-restart wiped them, or the
-    // holder is dead) or served corrupt: promote the backup or orphan.
-    for (LineId id : ids) {
-      if (got.count(id)) continue;
-      co_await recover_lost_line(id, corrupt_ids.count(id)
-                                         ? RecoverCause::kCorrupt
-                                         : RecoverCause::kLost);
+    co_await fetch_home(holders);
+  } else {
+    // One holder at a time: each holder's lines are pinned only after the
+    // previous holder's replies and recoveries settled.
+    for (const net::NodeId& holder : holders) {
+      co_await fetch_home(std::span<const net::NodeId>(&holder, 1));
     }
   }
   co_return true;
 }
 
-sim::Task<> RemoteBackend::collect_fetch_pipelined(
-    const std::vector<net::NodeId>& holders) {
+sim::Task<> RemoteBackend::fetch_home(std::span<const net::NodeId> holders) {
   // Pin every holder's lines up front (kFaulting keeps the concurrent
   // failure handler off them), then issue all live holders' kFetch RPCs
   // through the transport pipeline so their round-trips and server service
   // times overlap. Reply post-processing stays in holder order; recovery
   // may re-home lines onto other holders, which the caller's next
-  // collect_fetch round picks up — exactly like the sequential path.
+  // collect_fetch round picks up.
   std::vector<std::vector<LineId>> pinned(holders.size());
   for (std::size_t h = 0; h < holders.size(); ++h) {
     auto& held = lines_by_holder_[holders[h]];
@@ -705,12 +639,14 @@ sim::Task<> RemoteBackend::collect_fetch_pipelined(
         for (const LinePayload& payload : rep.lines) {
           auto& l = store_.line(payload.line_id);
           if (l.where != Where::kFaulting || l.holder != holder) {
+            // A stale primary from a false suspicion handled earlier; the
+            // authoritative copy lives elsewhere.
             node_.stats().bump("store.stale_fetch_lines");
             continue;
           }
           if (!verify_payload(payload, holder)) {
             corrupt_ids.insert(payload.line_id);
-            continue;
+            continue;  // repaired from the replica below, never used
           }
           l.entries = payload.entries;
           store_.make_resident(payload.line_id);
@@ -722,6 +658,8 @@ sim::Task<> RemoteBackend::collect_fetch_pipelined(
         co_await on_holder_failure(holder);
       }
     }
+    // Lines the holder no longer has (crash-restart wiped them, or the
+    // holder is dead) or served corrupt: promote the backup or orphan.
     for (LineId id : ids) {
       if (got.count(id)) continue;
       co_await recover_lost_line(id, corrupt_ids.count(id)
@@ -929,76 +867,34 @@ sim::Task<std::int64_t> RemoteBackend::reclaim_from(net::NodeId holder,
   for (LineId id : marked) {
     auto& l = store_.line(id);
     RMS_CHECK(l.where == Where::kMigrating);
-    bool lost = false;
-    bool corrupt = false;
-    if (holder_suspect(holder)) {
-      lost = true;
-    } else {
-      MemRequest req;
-      req.kind = MemRequest::Kind::kSwapIn;
-      req.owner = node_.id();
-      req.line_id = id;
-      cluster::RpcResult res = co_await rpc(net::Message::make(
-          node_.id(), holder, kMemService, 32, std::move(req)));
-      if (!res.ok()) {
-        // The holder went silent: re-home everything it held. Our marked
-        // lines are kMigrating, so the handler skips them and leaves them
-        // to the recovery below.
-        co_await on_holder_failure(holder);
-        lost = true;
-      } else {
-        const auto& rep = res.reply->as<MemReply>();
-        co_await node_.compute(node_.costs().per_message_cpu);
-        if (rep.ok) {
-          RMS_CHECK(rep.lines.size() == 1 && rep.lines[0].line_id == id);
-          if (!verify_payload(rep.lines[0], holder)) {
-            corrupt = true;
-            lost = true;
-          } else {
-            l.entries = rep.lines[0].entries;
-            hold_erase(holder, id);
-            drop_backup(id);
-            unreplicated_.erase(id);
-            unmirrored_shadow_.erase(id);  // home again; snapshot is garbage
-            // Ops buffered while the line was parked apply locally now:
-            // the recalled contents already include everything flushed
-            // before the fetch, and the line has no remote copy left.
-            const auto pend = pending_updates_.find(id);
-            if (pend != pending_updates_.end()) {
-              for (const mining::Itemset& s : pend->second) {
-                --*updates_sent_;  // applied locally, not sent after all
-                node_.stats().bump("store.reclaim_updates_applied");
-                for (mining::CountedItemset& e : l.entries) {
-                  if (e.items == s) {
-                    ++e.count;
-                    break;
-                  }
-                }
-              }
-              pending_updates_.erase(pend);
+    if (co_await swap_in(id, holder)) {
+      // Ops buffered while the line was parked apply locally now: the
+      // recalled contents already include everything flushed before the
+      // fetch, and the line has no remote copy left.
+      const auto pend = pending_updates_.find(id);
+      if (pend != pending_updates_.end()) {
+        for (const mining::Itemset& s : pend->second) {
+          --*updates_sent_;  // applied locally, not sent after all
+          node_.stats().bump("store.reclaim_updates_applied");
+          for (mining::CountedItemset& e : l.entries) {
+            if (e.items == s) {
+              ++e.count;
+              break;
             }
-            // The existing spill path: entries move to the local swap disk
-            // and the line settles kDisk until a probe faults it back.
-            co_await fallback_->swap_out(id);
-            freed += l.bytes;
-            node_.stats().bump("store.reclaimed_lines");
           }
-        } else {
-          // The holder answered but crashed and restarted in between; the
-          // line's primary copy is gone.
-          node_.stats().bump("store.swap_in_lost");
-          lost = true;
         }
+        pending_updates_.erase(pend);
       }
-    }
-    if (lost) {
-      hold_erase(holder, id);
-      co_await recover_lost_line(
-          id, corrupt ? RecoverCause::kCorrupt : RecoverCause::kLost);
-      // Promoted lines settle kRemote at the surviving backup (still
-      // donated, just elsewhere); repaired or orphaned lines are resident.
-      // Requeue any ops buffered while the line was parked.
-      if (l.where == Where::kRemote) co_await requeue_pending(id);
+      // The existing spill path: entries move to the local swap disk and
+      // the line settles kDisk until a probe faults it back.
+      co_await fallback_->swap_out(id);
+      freed += l.bytes;
+      node_.stats().bump("store.reclaimed_lines");
+    } else if (l.where == Where::kRemote) {
+      // Promoted to the surviving backup (still donated, just elsewhere):
+      // requeue the ops buffered while the line was parked. Repaired or
+      // orphaned lines are resident.
+      co_await requeue_pending(id);
     }
     store_.fire_migration_trigger(id);
   }

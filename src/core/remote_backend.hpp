@@ -10,14 +10,15 @@
 // transport::Transport whose failure callback feeds the suspicion
 // machinery, so an unresponsive holder is detected in-band and its lines are
 // re-homed: backup copies are promoted, the rest restart empty (orphaned).
-// With `rpc_window >= 2` end-of-pass collection pipelines its fetches
-// across memory servers instead of serializing one round-trip per holder.
+// End-of-pass collection runs one fetch routine: holder by holder at
+// `rpc_window` 1, pipelined across memory servers at `rpc_window >= 2`.
 // Evictions that find no live destination degrade to an owned DiskBackend —
 // the same fallback TieredBackend uses deliberately when its remote budget
 // fills up.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -132,10 +133,20 @@ class RemoteBackend : public SwapBackend {
   /// the recall progresses), and spill each through the disk fallback.
   sim::Task<std::int64_t> reclaim_from(net::NodeId holder,
                                        std::int64_t target_bytes);
-  /// collect_fetch with rpc_window >= 2: pin every holder's lines, issue
-  /// the fetch RPCs through Transport::pipeline so their round-trips
-  /// overlap, then post-process replies in holder order.
-  sim::Task<> collect_fetch_pipelined(const std::vector<net::NodeId>& holders);
+  /// The end-of-pass fetch: pin every listed holder's lines, issue the
+  /// kFetch RPCs through Transport::pipeline (their round-trips overlap at
+  /// rpc_window >= 2; one holder is exactly one call), then post-process
+  /// replies in holder order, recovering lines that did not come home.
+  sim::Task<> fetch_home(std::span<const net::NodeId> holders);
+  /// One kSwapIn round trip for `id`, which the caller pinned (kFaulting or
+  /// kMigrating), from `holder`. True when the contents came home: entries
+  /// loaded, and the line no longer counts as held, backed up or shadowed.
+  /// False when the primary copy was unusable — the holder is suspect,
+  /// missed every deadline (its failure handler ran), no longer had the
+  /// line (store.swap_in_lost) or served a corrupt payload — and the line
+  /// was recovered: promoted to its backup (kRemote again), repaired from
+  /// the local disk copy, or orphaned (resident either way).
+  sim::Task<bool> swap_in(LineId id, net::NodeId holder);
   /// One broker decision (placement::MemoryBroker::choose) plus this
   /// store's accounting. -1 when no live, fresh node has room (callers
   /// degrade). With `best_effort` (replica placement) a stale-estimate miss

@@ -148,16 +148,22 @@ TEST_F(FailoverFixture, SingleCrashWithoutReplicationDegrades) {
 TEST_F(FailoverFixture, ReplicationMakesSingleCrashExact) {
   // The acceptance bar: replicate_k = 1, crash one memory node mid-pass-2,
   // and the mining result is bit-identical to the no-fault / sequential
-  // reference — every lost primary had a live backup to promote.
-  HpaConfig c = config(db_, core::SwapPolicy::kRemoteUpdate);
-  c.memory_limit_bytes = limit_;
-  c.replicate_k = 1;
-  c.crashes = {{0, crash_at_, -1}};
-  const HpaResult r = run_hpa(c);
-  expect_same_mining(*seq_, r.mined);
-  EXPECT_GT(r.failover.replicas_stored, 0);
-  EXPECT_GT(r.failover.promoted_lines, 0);
-  EXPECT_EQ(r.failover.orphaned_lines, 0);
+  // reference — every lost primary had a live backup to promote. At
+  // rpc_window 4 the end-of-pass fetch pipelines across the surviving
+  // holders after the recovery.
+  for (const int window : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "rpc_window=" << window);
+    HpaConfig c = config(db_, core::SwapPolicy::kRemoteUpdate);
+    c.memory_limit_bytes = limit_;
+    c.replicate_k = 1;
+    c.rpc_window = window;
+    c.crashes = {{0, crash_at_, -1}};
+    const HpaResult r = run_hpa(c);
+    expect_same_mining(*seq_, r.mined);
+    EXPECT_GT(r.failover.replicas_stored, 0);
+    EXPECT_GT(r.failover.promoted_lines, 0);
+    EXPECT_EQ(r.failover.orphaned_lines, 0);
+  }
 }
 
 TEST_F(FailoverFixture, ReplicationAloneDoesNotPerturbTheResult) {

@@ -110,35 +110,40 @@ std::int64_t IntegrityFixture::limit_ = 0;
 Time IntegrityFixture::mid_run_ = 0;
 
 TEST_F(IntegrityFixture, WireCorruptionSweepWithReplicaSelfRepairs) {
-  // Property sweep: policy x flip rate, replicate_k = 1. Every detected
-  // corruption repairs from the mirror; the result can differ from the
-  // sequential truth only if some line lost both copies (orphaned) — and it
-  // must never inflate.
+  // Property sweep: policy x flip rate x rpc_window, replicate_k = 1. Every
+  // detected corruption repairs from the mirror; the result can differ from
+  // the sequential truth only if some line lost both copies (orphaned) —
+  // and it must never inflate. At rpc_window 4 the end-of-pass fetch
+  // pipelines across holders, so its replies are verified and repaired too.
   const core::SwapPolicy policies[] = {core::SwapPolicy::kRemoteUpdate,
                                        core::SwapPolicy::kRemoteSwap};
   const double rates[] = {0.001, 0.02};
-  for (const core::SwapPolicy policy : policies) {
-    for (const double rate : rates) {
-      SCOPED_TRACE(testing::Message()
-                   << core::to_string(policy) << " flip_rate=" << rate);
-      HpaConfig c = config(db_, policy);
-      c.memory_limit_bytes = limit_;
-      c.replicate_k = 1;
-      c.corruption = {wire_episode(rate)};
-      const HpaResult r = run_hpa(c);
-      expect_counts_not_inflated(*seq_, r.mined);
-      if (r.failover.orphaned_lines == 0) {
-        expect_same_mining(*seq_, r.mined);
-      }
-      if (rate >= 0.01) {
-        // The high-rate runs must actually exercise the machinery.
-        EXPECT_GT(r.stats.counter("net.corrupted_payloads"), 0);
-      }
-      if (rate <= 0.001) {
-        // Acceptance bar: at realistic flip rates a single mirror absorbs
-        // every hit — the output is exactly the fault-free result.
-        EXPECT_EQ(r.failover.orphaned_lines, 0);
-        expect_same_mining(*seq_, r.mined);
+  for (const int window : {1, 4}) {
+    for (const core::SwapPolicy policy : policies) {
+      for (const double rate : rates) {
+        SCOPED_TRACE(testing::Message()
+                     << core::to_string(policy) << " flip_rate=" << rate
+                     << " rpc_window=" << window);
+        HpaConfig c = config(db_, policy);
+        c.memory_limit_bytes = limit_;
+        c.replicate_k = 1;
+        c.rpc_window = window;
+        c.corruption = {wire_episode(rate)};
+        const HpaResult r = run_hpa(c);
+        expect_counts_not_inflated(*seq_, r.mined);
+        if (r.failover.orphaned_lines == 0) {
+          expect_same_mining(*seq_, r.mined);
+        }
+        if (rate >= 0.01) {
+          // The high-rate runs must actually exercise the machinery.
+          EXPECT_GT(r.stats.counter("net.corrupted_payloads"), 0);
+        }
+        if (rate <= 0.001) {
+          // Acceptance bar: at realistic flip rates a single mirror absorbs
+          // every hit — the output is exactly the fault-free result.
+          EXPECT_EQ(r.failover.orphaned_lines, 0);
+          expect_same_mining(*seq_, r.mined);
+        }
       }
     }
   }
