@@ -147,10 +147,6 @@ std::string workload_artifact_json(
   w.key("failover");
   w.begin_object();
   w.end_object();
-  if (sinks.metrics && !sinks.metrics->runs().empty()) {
-    // The sampled series file has the full data; the artifact only needs
-    // to exist for every requested sink, so embed just the profile.
-  }
   if (sinks.profiler && !sinks.profiler->runs().empty()) {
     w.key("profile");
     obs::profile_json(w, sinks.profiler->runs().back());
@@ -159,6 +155,18 @@ std::string workload_artifact_json(
   w.end_array();
   w.end_object();
   return w.str();
+}
+
+/// The cluster-shape and tiered-budget flags every workload takes. An
+/// absent flag keeps the workload's own default.
+template <typename Config>
+void apply_shape_flags(const Flags& flags, Config& cfg) {
+  cfg.app_nodes = static_cast<std::size_t>(
+      flags.get_int("app-nodes", static_cast<std::int64_t>(cfg.app_nodes)));
+  cfg.memory_nodes = static_cast<std::size_t>(flags.get_int(
+      "memory-nodes", static_cast<std::int64_t>(cfg.memory_nodes)));
+  const double budget_mb = flags.get_double("tiered-budget-mb", -1.0);
+  if (budget_mb >= 0) cfg.tiered_remote_budget_bytes = bench::mb(budget_mb);
 }
 
 void print_phase_summary(const std::vector<runtime::PassTiming>& passes,
@@ -188,9 +196,7 @@ int run_hpa_workload(const Flags& flags) {
   const mining::TransactionDb db = mining::QuestGenerator(wl).generate();
 
   hpa::HpaConfig cfg;
-  cfg.app_nodes = static_cast<std::size_t>(flags.get_int("app-nodes", 8));
-  cfg.memory_nodes =
-      static_cast<std::size_t>(flags.get_int("memory-nodes", 16));
+  apply_shape_flags(flags, cfg);
   cfg.workload = wl;
   cfg.shared_db = &db;
   cfg.min_support = 0.00025;
@@ -217,6 +223,7 @@ int run_hpa_workload(const Flags& flags) {
 int run_hash_join_workload(const Flags& flags) {
   Sinks sinks(flags);
   workloads::HashJoinConfig cfg;
+  apply_shape_flags(flags, cfg);
   cfg.build_rows = flags.get_int("rows", 40'000);
   cfg.probe_rows = flags.get_int("rows", 40'000);
   cfg.memory_limit_bytes = flags.get_int("limit-kb", 192) * 1000;
@@ -253,6 +260,7 @@ int run_hash_join_workload(const Flags& flags) {
 int run_hash_aggregate_workload(const Flags& flags) {
   Sinks sinks(flags);
   workloads::HashAggregateConfig cfg;
+  apply_shape_flags(flags, cfg);
   cfg.workload =
       mining::QuestParams::paper_experiment(flags.get_double("scale", 0.003));
   const double limit_mb = flags.get_double("limit-mb", 0.02);
@@ -298,8 +306,10 @@ int main(int argc, char** argv) {
           {{"scale", "hpa/hash_aggregate: transaction-count scale"},
            {"rows", "hash_join: rows per side (default 40000)"},
            {"limit-kb", "hash_join: per-node build-table limit (default 192)"},
-           {"app-nodes", "application execution nodes"},
-           {"memory-nodes", "memory-available nodes"},
+           {"app-nodes",
+            "application execution nodes (default: hpa 8, others 4)"},
+           {"memory-nodes",
+            "memory-available nodes (default: hpa 16, others 4)"},
            {"validate", "run store invariant checks at phase barriers"},
            {"trace-out", "write a Chrome trace_event JSON here"},
            {"metrics-out", "write per-node gauge time-series JSON here"},

@@ -1,7 +1,6 @@
 // PhasedRunner: the generic SPMD pass/phase orchestrator.
 //
-// Owns everything that used to be duplicated between hpa::Runner::app_main
-// and examples/hash_join.cpp's hand-rolled loop: the barrier sequence, the
+// Owns the pass loop every phased workload shares: the barrier sequence, the
 // per-phase timing stamps (barrier release to barrier release, so phase
 // times tile the pass exactly), kPass/kPhase trace spans on the phase track,
 // kBarrier arrival instants on each participant's node track, invariant

@@ -1,7 +1,8 @@
 // hash_join integration tests: the standalone distributed counting join,
 // run as a one-job world, must equal the in-memory scalar join with no
-// limit and under each swap policy examples/hash_join runs, and its result
-// must carry the counters of the tier its spill went to.
+// limit and under each swap policy `bench_workloads --workload hash_join`
+// runs (--backend remote|disk|tiered), and its result must carry the
+// counters of the tier its spill went to.
 #include <gtest/gtest.h>
 
 #include "workloads/hash_join.hpp"
@@ -42,8 +43,9 @@ TEST(HashJoin, ExactUnderTheExamplePolicies) {
     HashJoinConfig c = small_config();
     c.policy = policy;
     c.validate_invariants = true;
-    // As in examples/hash_join: the remote tier holds far less than the
-    // spill, so both tiers see traffic.
+    // As in the bench's tiered recipe (--tiered-budget-mb 0.024 at the
+    // 192 kB limit): the remote tier holds far less than the spill, so
+    // both tiers see traffic.
     if (policy == core::SwapPolicy::kTiered) {
       c.tiered_remote_budget_bytes = c.memory_limit_bytes / 8;
     }
