@@ -18,6 +18,7 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "hpa/hpa.hpp"
+#include "hpa/report.hpp"
 #include "mining/generator.hpp"
 #include "obs/artifact.hpp"
 #include "runtime/registry.hpp"
@@ -30,8 +31,8 @@ struct ExperimentEnv {
   double scale;
   mining::TransactionDb db;
   hpa::HpaConfig base;
-  /// Non-null when any of --trace-out / --metrics-out / --json-out was
-  /// passed; owns the trace recorder and metrics sampler for the process.
+  /// Non-null when any of --trace-out / --metrics-out / --json-out /
+  /// --profile-out was passed; owns the sinks for the process.
   std::unique_ptr<obs::RunObserver> observer;
 
   explicit ExperimentEnv(int argc, const char* const* argv,
@@ -41,20 +42,28 @@ struct ExperimentEnv {
   hpa::HpaConfig config() const { return base; }
 
   /// Run one configuration under the observer (when enabled): opens a run
-  /// section labelled `label`, stamps the trace/metrics sinks into `cfg`,
-  /// and snapshots the result for the run artifact. With no observer this
-  /// is exactly `hpa::run_hpa(cfg)`.
+  /// section labelled `label`, stamps the sinks into `cfg`, and records the
+  /// result's section for the run artifact. With no observer this is
+  /// exactly `hpa::run_hpa(cfg)`.
   hpa::HpaResult run(hpa::HpaConfig cfg, const std::string& label) const {
     if (observer) observer->begin_run(cfg, label);
     hpa::HpaResult result = hpa::run_hpa(cfg);
-    if (observer) observer->end_run(result);
+    if (observer) observer->end_run(hpa::run_section(cfg, result));
     return result;
   }
 
   /// Write the table as CSV when --csv was passed; always print to stdout.
-  /// Also emits the observer's trace/metrics/artifact files when enabled.
-  void finish(const TablePrinter& table, const std::string& default_csv) const;
+  /// Also emits the observer's files when enabled.
+  void finish(const TablePrinter& table) const;
 };
+
+/// The RunObserver for --trace-out / --metrics-out / --json-out /
+/// --profile-out; null when none was passed.
+inline std::unique_ptr<obs::RunObserver> make_observer(const Flags& flags) {
+  return obs::RunObserver::from_paths(
+      {flags.get("trace-out", ""), flags.get("metrics-out", ""),
+       flags.get("json-out", ""), flags.get("profile-out", "")});
+}
 
 // ---- shared flag-value rejection ------------------------------------------
 //
@@ -180,13 +189,10 @@ inline ExperimentEnv::ExperimentEnv(
     base.corruption.push_back(ep);
   }
 
-  observer = obs::RunObserver::from_paths(
-      {flags.get("trace-out", ""), flags.get("metrics-out", ""),
-       flags.get("json-out", ""), flags.get("profile-out", "")});
+  observer = make_observer(flags);
 }
 
-inline void ExperimentEnv::finish(const TablePrinter& table,
-                                  const std::string& default_csv) const {
+inline void ExperimentEnv::finish(const TablePrinter& table) const {
   table.print();
   const std::string path = flags.get("csv", "");
   if (!path.empty()) {
@@ -196,7 +202,6 @@ inline void ExperimentEnv::finish(const TablePrinter& table,
       std::fprintf(stderr, "could not write csv to %s\n", path.c_str());
     }
   }
-  (void)default_csv;
   if (observer) observer->write();
 }
 

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
                    bench::secs(update_t), TablePrinter::integer(msgs),
                    TablePrinter::num(static_cast<double>(wire) / 1e6, 1)});
   }
-  env.finish(table, "ext_blocksize.csv");
+  env.finish(table);
   std::printf(
       "\nlarge blocks pad every swapped line and lose steadily; at the small "
       "end the extra per-message protocol cost roughly cancels the padding "

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     table.add_row({TablePrinter::num(limit, 0) + "MB", times[0], times[1],
                    times[2], faults[0], faults[1], faults[2]});
   }
-  env.finish(table, "ext_eviction.csv");
+  env.finish(table);
 
   std::printf(
       "\nno-limit baseline: %s s. LRU exploits the probe stream's reuse; "

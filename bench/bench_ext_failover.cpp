@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  env.finish(table, "ext_failover.csv");
+  env.finish(table);
 
   std::printf(
       "\nwith replication every crash cell loses zero entries (backups are "

@@ -49,42 +49,15 @@ struct SpecDoc {
   std::string description;
 };
 
-void write_passes(obs::JsonWriter& w,
-                  const std::vector<runtime::PassTiming>& passes,
-                  const std::vector<std::string>& phase_names) {
-  w.key("passes");
-  w.begin_array();
-  for (const runtime::PassTiming& p : passes) {
-    w.begin_object();
-    w.kv("k", static_cast<std::uint64_t>(p.pass));
-    w.kv("duration_s", to_seconds(p.duration()));
-    if (!p.phase_end.empty()) {
-      w.key("phases");
-      w.begin_object();
-      for (std::size_t i = 0; i < p.phase_end.size(); ++i) {
-        w.kv(phase_names[i] + "_s", to_seconds(p.phase_time(i)));
-      }
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
-}
-
-/// The run artifact: rmswap.run_artifact/v2 with a top-level "scheduler"
-/// section (admission/reclamation accounting plus one record per job) and
-/// one run section per job. Job runs carry "job"/"tenant" markers and no
-/// profile — the world's clock is shared, so per-job attribution does not
-/// exist (tools/check_artifact.py accepts the marked shape).
-std::string scheduler_artifact_json(const sched::JobScheduler& scheduler,
-                                    const std::vector<SpecDoc>& docs,
-                                    const std::string& arrival_trace,
-                                    std::int64_t pool_donated_end) {
+/// The artifact's top-level "scheduler" section: admission/reclamation
+/// accounting plus one record per job. Each job also gets a run section
+/// (sched::job_run_section) carrying "job"/"tenant" markers and no profile
+/// — the world's clock is shared, so per-job attribution does not exist
+/// (tools/check_artifact.py accepts the marked shape).
+void scheduler_json(obs::JsonWriter& w, const sched::JobScheduler& scheduler,
+                    const char* arrival_trace,
+                    std::int64_t pool_donated_end) {
   const sched::JobScheduler::Stats& st = scheduler.stats();
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", "rmswap.run_artifact/v2");
-
   w.key("scheduler");
   w.begin_object();
   w.kv("arrival_trace", arrival_trace);
@@ -118,57 +91,6 @@ std::string scheduler_artifact_json(const sched::JobScheduler& scheduler,
   }
   w.end_array();
   w.end_object();
-
-  w.key("runs");
-  w.begin_array();
-  for (std::size_t i = 0; i < scheduler.jobs().size(); ++i) {
-    const sched::JobRecord& j = scheduler.jobs()[i];
-    const sched::JobReport& r = j.report;
-    w.begin_object();
-    w.kv("label", j.spec.name);
-    w.kv("workload", j.spec.workload);
-    w.kv("job", static_cast<std::uint64_t>(j.id));
-    w.kv("tenant", j.spec.tenant);
-    w.key("config");
-    w.begin_object();
-    w.kv("description", docs[i].description);
-    w.kv("slots", static_cast<std::uint64_t>(j.spec.slots));
-    w.kv("priority", static_cast<std::int64_t>(j.spec.priority));
-    w.kv("demand_bytes", j.spec.demand_bytes);
-    w.end_object();
-    w.kv("completed", r.completed);
-    if (!r.completed) {
-      w.end_object();
-      continue;
-    }
-    w.kv("exact", r.exact);
-    w.kv("summary", r.summary);
-    w.kv("total_time_s", to_seconds(r.total_time));
-    w.kv("makespan_s", to_seconds(r.total_time - j.admitted));
-    w.key("phase_names");
-    w.begin_array();
-    for (const std::string& name : r.phase_names) w.value(name);
-    w.end_array();
-    write_passes(w, r.passes, r.phase_names);
-    w.key("counters");
-    w.begin_object();
-    w.kv("store.pagefaults", r.pagefaults);
-    w.kv("store.swap_outs", r.swap_outs);
-    w.kv("store.updates_sent", r.updates_sent);
-    w.kv("store.degraded_evictions", r.degraded_evictions);
-    w.end_object();
-    // Uniform v2 shape: the merged registries live on the world, not the
-    // job, so these sections are present but empty for scheduled runs.
-    for (const char* section : {"summaries", "histograms", "failover"}) {
-      w.key(section);
-      w.begin_object();
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 std::string time_or_dash(Time t) {
@@ -217,13 +139,12 @@ int main(int argc, char** argv) {
   const std::int64_t pool_bytes =
       donor_free * static_cast<std::int64_t>(memory_nodes);
 
-  const std::string trace_path = flags.get("trace-out", "");
-  const std::string artifact_path = flags.get("json-out", "");
-  std::unique_ptr<obs::TraceRecorder> trace;
-  if (!trace_path.empty()) {
-    trace = std::make_unique<obs::TraceRecorder>();
-    trace->begin_run("multitenant");
-  }
+  // The observer owns the world's trace recorder (--trace-out) and writes
+  // the artifact; the jobs' runs are not observed one by one.
+  const std::unique_ptr<obs::RunObserver> observer =
+      bench::make_observer(flags);
+  obs::TraceRecorder* trace = observer ? observer->trace() : nullptr;
+  if (trace) trace->begin_run("multitenant");
 
   sim::Simulation sim;
   sched::WorldConfig wcfg;
@@ -231,7 +152,7 @@ int main(int argc, char** argv) {
   wcfg.memory_nodes = memory_nodes;
   wcfg.monitor_interval = sec(1);  // snappier admission than the 3 s default
   wcfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  wcfg.trace = trace.get();
+  wcfg.trace = trace;
   sched::World world(sim, wcfg);
 
   // Shrink each donor to --donor-free-kb of free memory: the balance is
@@ -256,7 +177,7 @@ int main(int argc, char** argv) {
   acfg.hash_lines = 4096;
   acfg.memory_limit_bytes = 8 * 1024;
   acfg.policy = core::SwapPolicy::kRemoteUpdate;
-  acfg.trace = trace.get();
+  acfg.trace = trace;
 
   // hpa-hi: the paper's miner at a bench scale, itself memory-limited so
   // it swaps into the capacity it reclaimed.
@@ -272,7 +193,7 @@ int main(int argc, char** argv) {
   hcfg.max_k = 2;
   hcfg.memory_limit_bytes = 20'000;
   hcfg.policy = core::SwapPolicy::kRemoteUpdate;
-  hcfg.trace = trace.get();
+  hcfg.trace = trace;
 
   // join-mid / bulk-shed: the join both backfills (modest demand) and,
   // with an impossible demand, exercises the deadline-shed path.
@@ -282,7 +203,7 @@ int main(int argc, char** argv) {
   jcfg.probe_rows = 20'000;
   jcfg.memory_limit_bytes = 96'000;
   jcfg.policy = core::SwapPolicy::kRemoteSwap;
-  jcfg.trace = trace.get();
+  jcfg.trace = trace;
 
   workloads::HashJoinConfig shed_cfg = jcfg;
   shed_cfg.app_nodes = 2;
@@ -371,7 +292,7 @@ int main(int argc, char** argv) {
   sched::SchedulerConfig scfg;
   scfg.reclaim_enabled = !flags.get_bool("no-reclaim", false);
   scfg.horizon = sec(flags.get_int("horizon-s", 900));
-  scfg.trace = trace.get();
+  scfg.trace = trace;
   sched::JobScheduler scheduler(world, scfg);
   for (const SpecDoc& doc : docs) scheduler.submit(doc.spec);
 
@@ -428,25 +349,16 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!artifact_path.empty()) {
-    const std::string artifact = scheduler_artifact_json(
-        scheduler, docs, sched::arrival_trace_name(atrace), pool_donated_end);
-    if (obs::write_file(artifact_path, artifact)) {
-      std::printf("wrote run artifact: %s\n", artifact_path.c_str());
-    } else {
-      std::fprintf(stderr, "FAILED writing run artifact: %s\n",
-                   artifact_path.c_str());
-      ok = false;
+  if (observer) {
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+      observer->add_run(
+          sched::job_run_section(scheduler.jobs()[i], docs[i].description));
     }
-  }
-  if (trace && !trace_path.empty()) {
-    if (trace->write_chrome_trace(trace_path)) {
-      std::printf("wrote chrome trace: %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "FAILED writing chrome trace: %s\n",
-                   trace_path.c_str());
-      ok = false;
-    }
+    const bool wrote = observer->write([&](obs::JsonWriter& w) {
+      scheduler_json(w, scheduler, sched::arrival_trace_name(atrace),
+                     pool_donated_end);
+    });
+    if (!wrote) ok = false;
   }
   return ok ? 0 : 1;
 }

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
                     bench::secs(update_t), bench::secs(determine_t)});
   }
 
-  env.finish(table, "ext_network.csv");
+  env.finish(table);
   wtable.print();
   std::printf(
       "\nthe paper's argument quantified: remote memory wins exactly when "

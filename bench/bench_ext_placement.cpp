@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
                      TablePrinter::integer(counter(r, name, "stale_skip"))});
     }
   }
-  env.finish(table, "ext_placement.csv");
+  env.finish(table);
 
   std::printf(
       "\nunder the fault-free skew the policies mostly tie -- availability "

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                                static_cast<double>(tr),
                            2)});
   }
-  env.finish(table, "ext_speedup.csv");
+  env.finish(table);
   std::printf(
       "\ncandidate generation is replicated on every node (HPA step 1), so "
       "speedup saturates once the scan no longer dominates -- the same "

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                                      2) +
                        "x"});
   }
-  env.finish(table, "ext_tcp.csv");
+  env.finish(table);
   std::printf(
       "\nwith coarse Solaris-era timers, even 0.1%% loss stalls the counting "
       "mesh behind 200 ms timeouts; tuning the RTO to the cluster's actual "

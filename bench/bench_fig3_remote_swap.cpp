@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     row.push_back(bench::secs(no_limit));
     table.add_row(std::move(row));
   }
-  env.finish(table, "fig3.csv");
+  env.finish(table);
 
   std::printf(
       "\npaper's Figure 3 shape: ~22,000 s at (12 MB, 1 node) falling to "

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     row.push_back(bench::secs(no_limit));
     table.add_row(std::move(row));
   }
-  env.finish(table, "fig4.csv");
+  env.finish(table);
 
   std::printf(
       "\npaper's Figure 4 shape (D = 1M): disk swapping worst and steepest "

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                    TablePrinter::integer(m1), TablePrinter::integer(m2)});
     (void)probe;
   }
-  env.finish(table, "fig5.csv");
+  env.finish(table);
 
   std::printf(
       "\npaper's Figure 5: the three curves nearly coincide (0-500 s range "

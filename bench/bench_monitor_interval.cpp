@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
              r.stats.counter("client.availability_updates")),
          TablePrinter::integer(r.stats.counter("server.lines_migrated"))});
   }
-  env.finish(table, "monitor_interval.csv");
+  env.finish(table);
 
   std::printf(
       "\npaper §5.4: results unchanged at 1 s; intervals well below 1 s add "

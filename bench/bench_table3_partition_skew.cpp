@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     mx = std::max(mx, c);
   }
   table.add_row({"total", TablePrinter::integer(total), "4871881"});
-  env.finish(table, "table3.csv");
+  env.finish(table);
 
   std::printf(
       "\nskew: min %lld / max %lld (%.2f%% spread; paper: 582,149/641,243 = "

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
                        TablePrinter::num(hist.percentile(0.99), 2),
                    TablePrinter::num(paper[i].pf_ms, 2)});
   }
-  env.finish(table, "table4.csv");
+  env.finish(table);
 
   std::printf(
       "\ndecomposition check (paper §5.2): round trip ~0.5 ms + 4 KB block "

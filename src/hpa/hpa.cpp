@@ -5,7 +5,6 @@
 
 #include "core/hash_line_store.hpp"
 #include "core/protocol.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/workload.hpp"
@@ -100,9 +99,6 @@ class HpaWorkload final : public sched::PhasedJob {
         RMS_CHECK(false);
     }
   }
-  void check_invariants(std::size_t idx) override {
-    if (stores_[idx]) stores_[idx]->check_invariants();
-  }
   void end_pass(const runtime::PassTiming& timing) override {
     finish_pass_report(timing);
   }
@@ -179,7 +175,6 @@ class HpaWorkload final : public sched::PhasedJob {
 
   void generate_candidates(std::size_t k);
   void finish_pass_report(const runtime::PassTiming& timing);
-  void register_gauges();
   /// Database, partition and support-threshold preparation.
   void prepare_inputs();
   /// result_.mined equals the sequential miner over the same database.
@@ -490,8 +485,7 @@ void HpaWorkload::launch(const sched::JobEnv& env,
   build_partition_cuts();
   prepare_inputs();
   if (cfg_.metrics != nullptr) {
-    register_gauges();
-    sim().spawn(obs::sample_process(sim(), *cfg_.metrics));
+    start_sampling(*cfg_.metrics, cfg_.monitor_interval);
   }
 
   // Mining proper: the generic phased runner owns barriers, phase spans,
@@ -520,57 +514,6 @@ HpaResult HpaWorkload::result(sched::World& world) {
   result_.failover = failover_total_;
   result_.integrity = integrity_total_;
   return std::move(result_);
-}
-
-void HpaWorkload::register_gauges() {
-  obs::MetricsSampler& m = *cfg_.metrics;
-  m.set_interval(cfg_.monitor_interval);
-  // Per-application-node residency and RPC gauges. Stores are rebuilt each
-  // pass and torn down at pass end, so every callback null-checks.
-  for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-    const auto node = static_cast<std::int32_t>(app_id(i));
-    const auto store_gauge = [this, i](auto fn) {
-      return [this, i, fn]() -> double {
-        return stores_[i] ? fn(*stores_[i]) : 0.0;
-      };
-    };
-    m.add_gauge("resident_bytes", node, store_gauge([](const auto& s) {
-      return static_cast<double>(s.resident_bytes());
-    }));
-    m.add_gauge("remote_held_bytes", node, store_gauge([](const auto& s) {
-      return static_cast<double>(s.remote_held_bytes());
-    }));
-    m.add_gauge("lines_resident", node, store_gauge([](const auto& s) {
-      return static_cast<double>(s.resident_lines());
-    }));
-    m.add_gauge("lines_remote", node, store_gauge([](const auto& s) {
-      return static_cast<double>(s.remote_lines());
-    }));
-    m.add_gauge("lines_disk", node, store_gauge([](const auto& s) {
-      return static_cast<double>(s.disk_lines());
-    }));
-    m.add_gauge("outstanding_rpcs", node, store_gauge([](const auto& s) {
-      return static_cast<double>(s.outstanding_rpcs());
-    }));
-    m.add_gauge("rpc_window", node, store_gauge([](const auto& s) {
-      return static_cast<double>(s.rpc_window());
-    }));
-    m.add_gauge("heartbeat_staleness_s", node, [this, i]() -> double {
-      return to_seconds(env_.brokers[i]->oldest_report_age(sim().now()));
-    });
-  }
-  // Per-memory-node donation (how much RAM the node is lending out).
-  for (NodeId id : env_.brokers[0]->memory_nodes()) {
-    m.add_gauge("donated_bytes", static_cast<std::int32_t>(id),
-                [this, id]() -> double {
-                  return static_cast<double>(
-                      env_.cluster->node(id).memory().donated_bytes);
-                });
-  }
-  // Cluster-wide: kernel event throughput (a cheap progress heartbeat).
-  m.add_gauge("executed_events", -1, [this]() -> double {
-    return static_cast<double>(sim().executed_events());
-  });
 }
 
 void HpaWorkload::fill_report(sched::JobReport& rep) {
@@ -625,10 +568,8 @@ HpaResult run_hpa(const HpaConfig& config) {
   world.run_one_job(job);
   HpaResult result = job.result(world);
   // Destroy still-suspended frames (daemons, in-flight store calls) while
-  // the world and the job's stores they reference are alive; then drop the
-  // gauges that capture the job (the recorded series stays).
+  // the world and the job's stores they reference are alive.
   sim.shutdown();
-  if (config.metrics != nullptr) config.metrics->clear_gauges();
   return result;
 }
 

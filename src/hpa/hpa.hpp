@@ -128,9 +128,9 @@ struct HpaConfig {
   /// outlive the run. Recording is passive — virtual-time results are
   /// bit-identical with or without it.
   obs::TraceRecorder* trace = nullptr;
-  /// Gauge sampler: per-node residency/RPC/staleness time-series at
-  /// `monitor_interval` granularity. The runner registers its gauges, spawns
-  /// the sampling process, and clears the gauges before returning.
+  /// Gauge sampler: sched::PhasedJob's per-node residency/RPC/staleness
+  /// gauge set, sampled at `monitor_interval` granularity; the gauges are
+  /// dropped before run_hpa returns.
   obs::MetricsSampler* metrics = nullptr;
   /// Profiler sink: when set, every node feeds CPU and disk busy intervals
   /// directly to it (bypassing the trace ring) so per-pass attribution stays

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/table.hpp"
+#include "obs/artifact.hpp"
 #include "obs/profile.hpp"
 
 namespace rms::hpa {
@@ -213,6 +214,47 @@ std::string describe(const HpaConfig& config) {
       static_cast<long long>(config.workload.num_transactions),
       config.min_support);
   return buf;
+}
+
+obs::RunSection run_section(const HpaConfig& config, const HpaResult& result) {
+  obs::RunSection run;
+  run.workload = "hpa";
+  run.description = describe(config);
+  const auto count = [](std::size_t n) { return static_cast<std::uint64_t>(n); };
+  run.config = {
+      {"app_nodes", count(config.app_nodes)},
+      {"memory_nodes", count(config.memory_nodes)},
+      {"policy", std::string(core::to_string(config.policy))},
+      {"placement", std::string(placement::policy_name(config.placement))},
+      {"memory_limit_bytes", config.memory_limit_bytes},
+      {"tiered_remote_budget_bytes", config.tiered_remote_budget_bytes},
+      {"min_support", config.min_support},
+      {"num_transactions", config.workload.num_transactions},
+      {"hash_lines", count(config.hash_lines)},
+      {"message_block_bytes", config.message_block_bytes},
+      {"monitor_interval_s", to_seconds(config.monitor_interval)},
+      {"replicate_k", std::int64_t{config.replicate_k}},
+      {"remote_determination", config.remote_determination},
+      {"crashes", count(config.crashes.size())},
+      {"withdrawals", count(config.withdrawals.size())},
+      {"corruption_episodes", count(config.corruption.size())},
+      {"quarantine_after", std::int64_t{config.quarantine_after}},
+      {"integrity_disk_shadow", config.integrity_disk_shadow}};
+  run.completed = true;
+  run.total_time = result.total_time;
+  run.phase_names = result.phase_names;
+  for (const PassReport& p : result.passes) {
+    run.passes.push_back(obs::PassSection{
+        p.k, p.duration, p.phase_time,
+        obs::PassSection::Counts{p.candidates_global, p.large_global,
+                                 p.max_pagefaults(), p.candidates_per_node,
+                                 p.pagefaults_per_node, p.swap_outs_per_node,
+                                 p.updates_per_node}});
+  }
+  run.stats = result.stats;
+  run.failover = result.failover;
+  run.integrity = result.integrity;
+  return run;
 }
 
 }  // namespace rms::hpa

@@ -5,6 +5,7 @@
 
 namespace rms::obs {
 struct RunProfile;
+struct RunSection;
 }
 
 namespace rms::hpa {
@@ -18,5 +19,10 @@ void print_report(const HpaResult& result,
 
 /// Describe a configuration in one line (policy, limit, node counts).
 std::string describe(const HpaConfig& config);
+
+/// One run as a run-artifact section: describe() and the key parameters as
+/// its configuration, and every pass with its candidate/large counts and
+/// per-node vectors.
+obs::RunSection run_section(const HpaConfig& config, const HpaResult& result);
 
 }  // namespace rms::hpa

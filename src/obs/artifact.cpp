@@ -3,11 +3,14 @@
 #include <cstdio>
 #include <utility>
 
-#include "hpa/report.hpp"
 #include "obs/json.hpp"
 
 namespace rms::obs {
+namespace {
 
+/// Serialize a StatsRegistry: counters (non-zero), summaries, and histogram
+/// percentiles (p50/p95/p99/max), as three keyed objects appended to the
+/// currently-open JSON object.
 void stats_json(JsonWriter& w, const StatsRegistry& stats) {
   w.key("counters");
   w.begin_object();
@@ -49,32 +52,6 @@ void stats_json(JsonWriter& w, const StatsRegistry& stats) {
   w.end_object();
 }
 
-namespace {
-
-void config_json(JsonWriter& w, const hpa::HpaConfig& cfg) {
-  w.begin_object();
-  w.kv("description", hpa::describe(cfg));
-  w.kv("app_nodes", static_cast<std::uint64_t>(cfg.app_nodes));
-  w.kv("memory_nodes", static_cast<std::uint64_t>(cfg.memory_nodes));
-  w.kv("policy", core::to_string(cfg.policy));
-  w.kv("placement", placement::policy_name(cfg.placement));
-  w.kv("memory_limit_bytes", cfg.memory_limit_bytes);
-  w.kv("tiered_remote_budget_bytes", cfg.tiered_remote_budget_bytes);
-  w.kv("min_support", cfg.min_support);
-  w.kv("num_transactions", cfg.workload.num_transactions);
-  w.kv("hash_lines", static_cast<std::uint64_t>(cfg.hash_lines));
-  w.kv("message_block_bytes", cfg.message_block_bytes);
-  w.kv("monitor_interval_s", to_seconds(cfg.monitor_interval));
-  w.kv("replicate_k", cfg.replicate_k);
-  w.kv("remote_determination", cfg.remote_determination);
-  w.kv("crashes", static_cast<std::uint64_t>(cfg.crashes.size()));
-  w.kv("withdrawals", static_cast<std::uint64_t>(cfg.withdrawals.size()));
-  w.kv("corruption_episodes", static_cast<std::uint64_t>(cfg.corruption.size()));
-  w.kv("quarantine_after", cfg.quarantine_after);
-  w.kv("integrity_disk_shadow", cfg.integrity_disk_shadow);
-  w.end_object();
-}
-
 void per_node_json(JsonWriter& w, std::string_view key,
                    const std::vector<std::int64_t>& values) {
   w.key(key);
@@ -83,12 +60,14 @@ void per_node_json(JsonWriter& w, std::string_view key,
   w.end_array();
 }
 
-void pass_json(JsonWriter& w, const hpa::PassReport& p,
+void pass_json(JsonWriter& w, const PassSection& p,
                const std::vector<std::string>& phase_names) {
   w.begin_object();
   w.kv("k", static_cast<std::uint64_t>(p.k));
-  w.kv("candidates", p.candidates_global);
-  w.kv("large", p.large_global);
+  if (p.counts) {
+    w.kv("candidates", p.counts->candidates);
+    w.kv("large", p.counts->large);
+  }
   w.kv("duration_s", to_seconds(p.duration));
   if (!p.phase_time.empty()) {
     // Keyed by the runtime phase registry so the artifact cannot drift
@@ -103,11 +82,13 @@ void pass_json(JsonWriter& w, const hpa::PassReport& p,
     }
     w.end_object();
   }
-  w.kv("max_pagefaults", p.max_pagefaults());
-  per_node_json(w, "candidates_per_node", p.candidates_per_node);
-  per_node_json(w, "pagefaults_per_node", p.pagefaults_per_node);
-  per_node_json(w, "swap_outs_per_node", p.swap_outs_per_node);
-  per_node_json(w, "updates_per_node", p.updates_per_node);
+  if (p.counts) {
+    w.kv("max_pagefaults", p.counts->max_pagefaults);
+    per_node_json(w, "candidates_per_node", p.counts->candidates_per_node);
+    per_node_json(w, "pagefaults_per_node", p.counts->pagefaults_per_node);
+    per_node_json(w, "swap_outs_per_node", p.counts->swap_outs_per_node);
+    per_node_json(w, "updates_per_node", p.counts->updates_per_node);
+  }
   w.end_object();
 }
 
@@ -163,26 +144,54 @@ void metrics_run_json(JsonWriter& w, const MetricsSampler::Run& run) {
   w.end_object();
 }
 
+void run_section_json(JsonWriter& w, const RunSection& run) {
+  w.kv("label", run.label);
+  w.kv("workload", run.workload);
+  if (run.job) {
+    w.kv("job", run.job->id);
+    w.kv("tenant", run.job->tenant);
+  }
+  w.key("config");
+  w.begin_object();
+  w.kv("description", run.description);
+  for (const ConfigField& field : run.config) {
+    w.key(field.key);
+    std::visit([&w](const auto& v) { w.value(v); }, field.value);
+  }
+  w.end_object();
+  w.kv("completed", run.completed);
+  if (!run.completed) return;
+  w.kv("total_time_s", to_seconds(run.total_time));
+  if (run.job) w.kv("makespan_s", to_seconds(run.job->makespan));
+  if (run.exact) w.kv("exact", *run.exact);
+  if (run.pagefaults) w.kv("pagefaults", *run.pagefaults);
+  if (run.job) w.kv("summary", run.job->summary);
+  w.key("phase_names");
+  w.begin_array();
+  for (const std::string& name : run.phase_names) w.value(name);
+  w.end_array();
+  w.key("passes");
+  w.begin_array();
+  for (const PassSection& p : run.passes) pass_json(w, p, run.phase_names);
+  w.end_array();
+  stats_json(w, run.stats);
+  w.key("failover");
+  if (run.failover) {
+    failover_json(w, *run.failover);
+  } else {
+    w.begin_object();
+    w.end_object();
+  }
+  if (run.integrity) {
+    w.key("integrity");
+    integrity_json(w, *run.integrity);
+  }
+}
+
 }  // namespace
 
 RunObserver::RunObserver(Paths paths) : paths_(std::move(paths)) {
-  // The artifact embeds the per-pass attribution profile, so --json-out
-  // alone enables profiling; the profiler in turn needs the recorder as its
-  // event source (the recorder's ring is never read for it — events are
-  // tapped at push time).
-  const bool profiling = !paths_.artifact.empty() || !paths_.profile.empty();
-  if (!paths_.trace.empty() || profiling) {
-    trace_ = std::make_unique<TraceRecorder>();
-  }
-  if (profiling) {
-    profiler_ = std::make_unique<PassProfiler>();
-    trace_->set_profile_hook(profiler_.get());
-  }
-  // The artifact embeds the sampled series, so --json-out alone still
-  // enables the sampler (gauge reads are O(nodes) per interval — cheap).
-  if (!paths_.metrics.empty() || !paths_.artifact.empty()) {
-    metrics_ = std::make_unique<MetricsSampler>();
-  }
+  if (!paths_.trace.empty()) trace_ = std::make_unique<TraceRecorder>();
 }
 
 std::unique_ptr<RunObserver> RunObserver::from_paths(Paths paths) {
@@ -193,85 +202,73 @@ std::unique_ptr<RunObserver> RunObserver::from_paths(Paths paths) {
   return std::make_unique<RunObserver>(std::move(paths));
 }
 
-void RunObserver::begin_run(hpa::HpaConfig& cfg, const std::string& label) {
-  cfg.trace = trace_.get();
-  cfg.metrics = metrics_.get();
-  cfg.profiler = profiler_.get();
+void RunObserver::open_run(const std::string& label) {
+  // The artifact embeds each opened run's attribution profile and sampled
+  // series, so --json-out alone enables the profiler and the sampler. They
+  // start with the first opened run: runs added with add_run share a world
+  // no per-run sink can attribute. The profiler needs the recorder as its
+  // event source (the ring is never read for it — events are tapped at
+  // push time).
+  if (!profiler_ && (!paths_.artifact.empty() || !paths_.profile.empty())) {
+    if (!trace_) trace_ = std::make_unique<TraceRecorder>();
+    profiler_ = std::make_unique<PassProfiler>();
+    trace_->set_profile_hook(profiler_.get());
+  }
+  // Gauge reads are O(nodes) per interval — cheap.
+  if (!metrics_ && (!paths_.metrics.empty() || !paths_.artifact.empty())) {
+    metrics_ = std::make_unique<MetricsSampler>();
+  }
   if (trace_) trace_->begin_run(label);
   if (metrics_) metrics_->begin_run(label);
   if (profiler_) {
     profiler_->begin_run(label);
     drop_mark_ = trace_->dropped();
   }
-  RunRecord rec;
-  rec.label = label;
-  rec.config = cfg;
-  rec.config.shared_db = nullptr;
-  rec.config.trace = nullptr;
-  rec.config.metrics = nullptr;
-  rec.config.profiler = nullptr;
+  Record rec;
+  rec.run.label = label;
+  rec.sink_run = opened_++;
   runs_.push_back(std::move(rec));
 }
 
-void RunObserver::end_run(const hpa::HpaResult& result) {
-  RMS_CHECK_MSG(!runs_.empty(), "end_run without begin_run");
+void RunObserver::end_run(RunSection run) {
+  RMS_CHECK_MSG(!runs_.empty() && runs_.back().sink_run,
+                "end_run without begin_run");
   if (profiler_) profiler_->end_run(trace_->dropped() - drop_mark_);
-  RunRecord& rec = runs_.back();
-  rec.have_result = true;
-  rec.passes = result.passes;
-  rec.phase_names = result.phase_names;
-  rec.total_time = result.total_time;
-  rec.stats = result.stats;
-  rec.failover = result.failover;
-  rec.integrity = result.integrity;
+  run.label = std::move(runs_.back().run.label);
+  runs_.back().run = std::move(run);
 }
 
-std::string RunObserver::artifact_json() const {
+void RunObserver::add_run(RunSection run) {
+  runs_.push_back(Record{std::move(run), std::nullopt});
+}
+
+std::string RunObserver::artifact_json(const HeadWriter& head) const {
   JsonWriter w;
   w.begin_object();
   w.kv("schema", "rmswap.run_artifact/v2");
+  if (head) head(w);
   w.key("runs");
   w.begin_array();
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    const RunRecord& rec = runs_[i];
+  for (const Record& rec : runs_) {
     w.begin_object();
-    w.kv("label", rec.label);
-    w.kv("workload", "hpa");
-    w.key("config");
-    config_json(w, rec.config);
-    w.kv("completed", rec.have_result);
-    if (rec.have_result) {
-      w.kv("total_time_s", to_seconds(rec.total_time));
-      w.key("phase_names");
-      w.begin_array();
-      for (const std::string& name : rec.phase_names) w.value(name);
-      w.end_array();
-      w.key("passes");
-      w.begin_array();
-      for (const hpa::PassReport& p : rec.passes) {
-        pass_json(w, p, rec.phase_names);
+    run_section_json(w, rec.run);
+    if (rec.sink_run) {
+      const std::size_t i = *rec.sink_run;
+      if (metrics_ && i < metrics_->runs().size()) {
+        w.key("metrics");
+        metrics_run_json(w, metrics_->runs()[i]);
       }
-      w.end_array();
-      stats_json(w, rec.stats);
-      w.key("failover");
-      failover_json(w, rec.failover);
-      w.key("integrity");
-      integrity_json(w, rec.integrity);
-    }
-    if (metrics_ && i < metrics_->runs().size()) {
-      w.key("metrics");
-      metrics_run_json(w, metrics_->runs()[i]);
-    }
-    if (profiler_ && i < profiler_->runs().size()) {
-      w.key("profile");
-      profile_json(w, profiler_->runs()[i]);
+      if (profiler_ && i < profiler_->runs().size()) {
+        w.key("profile");
+        profile_json(w, profiler_->runs()[i]);
+      }
     }
     w.end_object();
   }
   w.end_array();
-  // Only when a trace *file* was requested: --json-out alone now creates the
-  // recorder (as the profiler's event source), and stamping its ring totals
-  // here would perturb artifacts that never asked for tracing.
+  // Only when a trace *file* was requested: --json-out alone also creates
+  // the recorder (as the profiler's event source), and stamping its ring
+  // totals here would perturb artifacts that never asked for tracing.
   if (trace_ && !paths_.trace.empty()) {
     w.key("trace");
     w.begin_object();
@@ -283,7 +280,7 @@ std::string RunObserver::artifact_json() const {
   return w.str();
 }
 
-bool RunObserver::write() const {
+bool RunObserver::write(const HeadWriter& head) const {
   bool ok = true;
   const auto emit = [&ok](const char* what, const std::string& path,
                           bool wrote) {
@@ -302,7 +299,7 @@ bool RunObserver::write() const {
   }
   if (!paths_.artifact.empty()) {
     emit("run artifact", paths_.artifact,
-         write_file(paths_.artifact, artifact_json()));
+         write_file(paths_.artifact, artifact_json(head)));
   }
   if (profiler_ && !paths_.profile.empty()) {
     emit("attribution profile", paths_.profile,

@@ -12,9 +12,9 @@
 // virtual clock by suspending on `timeout`, it charges no compute — and a
 // null `MetricsSampler*` disables the whole layer.
 //
-// Lifetime rule: gauges capture references into runner/store state. Callers
+// Lifetime rule: gauges capture references into job/store state. Callers
 // MUST `clear_gauges()` (or begin a new run) before that state dies;
-// `hpa::Runner::run` does this before returning.
+// `sched::PhasedJob` does this when the job that registered them ends.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,39 @@
 
 #include "cluster/cluster.hpp"
 #include "core/hash_line_store.hpp"
+#include "obs/artifact.hpp"
+#include "obs/metrics.hpp"
+#include "placement/placement.hpp"
 #include "runtime/runner.hpp"
+#include "sim/simulation.hpp"
 
 namespace rms::sched {
 
+obs::RunSection phased_run_section(
+    std::string workload, Time total_time,
+    const std::vector<runtime::PassTiming>& passes,
+    std::vector<std::string> phase_names) {
+  obs::RunSection run;
+  run.workload = std::move(workload);
+  run.completed = true;
+  run.total_time = total_time;
+  for (const runtime::PassTiming& p : passes) {
+    obs::PassSection& out = run.passes.emplace_back();
+    out.k = p.pass;
+    out.duration = p.duration();
+    for (std::size_t i = 0; i < p.phase_end.size(); ++i) {
+      out.phase_time.push_back(p.phase_time(i));
+    }
+  }
+  run.phase_names = std::move(phase_names);
+  return run;
+}
+
 PhasedJob::PhasedJob() = default;
-PhasedJob::~PhasedJob() = default;
+
+PhasedJob::~PhasedJob() {
+  if (sampler_ != nullptr) sampler_->clear_gauges();
+}
 
 void PhasedJob::attach(const JobEnv& env, std::size_t participants) {
   RMS_CHECK(env.sim != nullptr && env.cluster != nullptr);
@@ -33,6 +60,50 @@ void PhasedJob::start_runner(runtime::RunnerConfig rcfg,
   rcfg.on_finished = std::move(on_done);
   runner_ = std::make_unique<runtime::PhasedRunner>(sim(), *this, rcfg);
   runner_->start();
+}
+
+void PhasedJob::start_sampling(obs::MetricsSampler& sampler, Time interval) {
+  sampler_ = &sampler;
+  sampler.set_interval(interval);
+  for (std::size_t i = 0; i < stores_.size(); ++i) {
+    const auto node = static_cast<std::int32_t>(app_id(i));
+    const auto store_gauge = [&sampler, node, this, i](const char* name,
+                                                       auto read) {
+      sampler.add_gauge(name, node, [this, i, read]() -> double {
+        return stores_[i] ? static_cast<double>(read(*stores_[i])) : 0.0;
+      });
+    };
+    using Store = const core::HashLineStore&;
+    store_gauge("resident_bytes", [](Store s) { return s.resident_bytes(); });
+    store_gauge("remote_held_bytes",
+                [](Store s) { return s.remote_held_bytes(); });
+    store_gauge("lines_resident", [](Store s) { return s.resident_lines(); });
+    store_gauge("lines_remote", [](Store s) { return s.remote_lines(); });
+    store_gauge("lines_disk", [](Store s) { return s.disk_lines(); });
+    store_gauge("outstanding_rpcs",
+                [](Store s) { return s.outstanding_rpcs(); });
+    store_gauge("rpc_window", [](Store s) { return s.rpc_window(); });
+    sampler.add_gauge("heartbeat_staleness_s", node, [this, i]() -> double {
+      return to_seconds(env_.brokers[i]->oldest_report_age(sim().now()));
+    });
+  }
+  // Per memory node: how much RAM it is lending out.
+  for (net::NodeId id : env_.brokers[0]->memory_nodes()) {
+    sampler.add_gauge("donated_bytes", static_cast<std::int32_t>(id),
+                      [this, id]() -> double {
+                        return static_cast<double>(
+                            env_.cluster->node(id).memory().donated_bytes);
+                      });
+  }
+  // Cluster-wide: kernel event throughput (a cheap progress heartbeat).
+  sampler.add_gauge("executed_events", -1, [this]() -> double {
+    return static_cast<double>(sim().executed_events());
+  });
+  sim().spawn(obs::sample_process(sim(), sampler));
+}
+
+void PhasedJob::check_invariants(std::size_t idx) {
+  if (stores_[idx]) stores_[idx]->check_invariants();
 }
 
 cluster::Node& PhasedJob::app_node(std::size_t idx) const {

@@ -39,6 +39,10 @@ class Node;
 namespace rms::core {
 class HashLineStore;
 }
+namespace rms::obs {
+class MetricsSampler;
+struct RunSection;
+}
 namespace rms::runtime {
 class PhasedRunner;
 struct RunnerConfig;
@@ -146,14 +150,25 @@ class JobRuntime {
 
 using JobRuntimePtr = std::unique_ptr<JobRuntime>;
 
+/// The run-artifact section of a completed phased run: the workload name,
+/// total time, phase names, and every pass's duration and phase times.
+/// Callers add the configuration and the workload's own figures.
+obs::RunSection phased_run_section(
+    std::string workload, Time total_time,
+    const std::vector<runtime::PassTiming>& passes,
+    std::vector<std::string> phase_names);
+
 /// The part of a JobRuntime every phased workload shares: one hash-line
 /// store per participant, bound to the participant's slot; the
-/// PhasedRunner on those slots; and the scheduler's reclaim,
-/// donated_bytes and harvest over the stores. A workload derives from it,
-/// implements the runtime::Workload hooks and launch(), and adds its own
-/// figures in fill_report().
+/// PhasedRunner on those slots; the scheduler's reclaim, donated_bytes and
+/// harvest over the stores; the stores' invariant sweep; and the gauge set
+/// a MetricsSampler records. A workload derives from it, implements the
+/// runtime::Workload hooks and launch(), and adds its own figures in
+/// fill_report().
 class PhasedJob : public JobRuntime, public runtime::Workload {
  public:
+  /// Drops the gauges start_sampling registered (they capture the job; the
+  /// recorded series stays).
   ~PhasedJob() override;
 
   sim::Task<std::int64_t> reclaim(std::int64_t target_bytes) final;
@@ -161,6 +176,9 @@ class PhasedJob : public JobRuntime, public runtime::Workload {
   /// Completion and timing from the runner, the workload's fill_report(),
   /// then the slots unbind.
   JobReport harvest() final;
+
+  /// HashLineStore::check_invariants on the participant's live store.
+  void check_invariants(std::size_t idx) final;
 
  protected:
   PhasedJob();
@@ -171,6 +189,13 @@ class PhasedJob : public JobRuntime, public runtime::Workload {
   /// Start the phased runner on the attached slots; `on_done` fires at its
   /// final barrier.
   void start_runner(runtime::RunnerConfig rcfg, std::function<void()> on_done);
+  /// Register the gauge set on `sampler` and sample it every `interval`:
+  /// per participant resident_bytes, remote_held_bytes, lines_resident,
+  /// lines_remote, lines_disk, outstanding_rpcs, rpc_window and
+  /// heartbeat_staleness_s; per memory node donated_bytes; and the
+  /// kernel's executed_events (node -1). Stores may come and go per pass,
+  /// so every store gauge reads 0 while its store is absent.
+  void start_sampling(obs::MetricsSampler& sampler, Time interval);
 
   /// The workload's part of harvest(): counters, exactness, summary.
   virtual void fill_report(JobReport& rep) = 0;
@@ -188,6 +213,9 @@ class PhasedJob : public JobRuntime, public runtime::Workload {
   JobEnv env_;
   std::vector<std::unique_ptr<core::HashLineStore>> stores_;
   std::unique_ptr<runtime::PhasedRunner> runner_;
+
+ private:
+  obs::MetricsSampler* sampler_ = nullptr;
 };
 
 }  // namespace rms::sched

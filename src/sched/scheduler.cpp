@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "core/memory_server.hpp"
+#include "obs/artifact.hpp"
 #include "obs/trace.hpp"
 
 namespace rms::sched {
@@ -21,6 +22,31 @@ const char* job_state_name(JobState state) {
   }
   RMS_CHECK(false);
   return "";
+}
+
+obs::RunSection job_run_section(const JobRecord& job,
+                                std::string description) {
+  const JobReport& r = job.report;
+  obs::RunSection run =
+      r.completed ? phased_run_section(job.spec.workload, r.total_time,
+                                       r.passes, r.phase_names)
+                  : obs::RunSection{};
+  run.label = job.spec.name;
+  run.workload = job.spec.workload;
+  run.description = std::move(description);
+  run.config = {
+      {"slots", static_cast<std::uint64_t>(job.spec.slots)},
+      {"priority", static_cast<std::int64_t>(job.spec.priority)},
+      {"demand_bytes", job.spec.demand_bytes}};
+  run.job = obs::RunSection::Job{static_cast<std::uint64_t>(job.id),
+                                 job.spec.tenant, r.summary,
+                                 r.total_time - job.admitted};
+  run.exact = r.exact;
+  run.stats.bump("store.pagefaults", r.pagefaults);
+  run.stats.bump("store.swap_outs", r.swap_outs);
+  run.stats.bump("store.updates_sent", r.updates_sent);
+  run.stats.bump("store.degraded_evictions", r.degraded_evictions);
+  return run;
 }
 
 JobScheduler::JobScheduler(World& world, SchedulerConfig cfg)

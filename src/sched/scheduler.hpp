@@ -84,6 +84,12 @@ struct JobRecord {
   JobReport report;
 };
 
+/// A scheduled job's run-artifact section: the job markers, its spec as
+/// the configuration (after `description`), and once it completed, its
+/// report. The world's registries are shared, so the stats hold only the
+/// job's store counters and no fault ledgers.
+obs::RunSection job_run_section(const JobRecord& job, std::string description);
+
 struct SchedulerConfig {
   /// Queue re-examination period between arrival/completion events.
   Time poll_interval = msec(200);

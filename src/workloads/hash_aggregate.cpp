@@ -6,7 +6,6 @@
 
 #include "cluster/cluster.hpp"
 #include "core/hash_line_store.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/runner.hpp"
 #include "sched/data_path.hpp"
 #include "sched/world.hpp"
@@ -72,9 +71,6 @@ class HashAggregateWorkload final : public sched::PhasedJob {
         RMS_CHECK(false);
     }
     (void)pass;
-  }
-  void check_invariants(std::size_t idx) override {
-    if (stores_[idx]) stores_[idx]->check_invariants();
   }
 
  private:
@@ -254,23 +250,7 @@ void HashAggregateWorkload::launch(const sched::JobEnv& env,
   prepare_inputs();
 
   if (cfg_.metrics != nullptr) {
-    // Stores are created in the build phase; every gauge null-checks.
-    for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
-      const auto node = static_cast<std::int32_t>(app_id(n));
-      cfg_.metrics->add_gauge("resident_bytes", node, [this, n] {
-        return stores_[n] ? static_cast<double>(stores_[n]->resident_bytes())
-                          : 0.0;
-      });
-      cfg_.metrics->add_gauge("lines_remote", node, [this, n] {
-        return stores_[n] ? static_cast<double>(stores_[n]->remote_lines())
-                          : 0.0;
-      });
-      cfg_.metrics->add_gauge("lines_disk", node, [this, n] {
-        return stores_[n] ? static_cast<double>(stores_[n]->disk_lines())
-                          : 0.0;
-      });
-    }
-    sim().spawn(obs::sample_process(sim(), *cfg_.metrics));
+    start_sampling(*cfg_.metrics, cfg_.monitor_interval);
   }
 
   // One pass of build/scan/collect under the generic phased runner.
@@ -327,9 +307,8 @@ HashAggregateResult run_hash_aggregate(const HashAggregateConfig& config) {
   world.run_one_job(job);
   HashAggregateResult result = job.result(world);
   // Destroy still-suspended frames while the stores they reference are
-  // alive; drop gauges that capture the job (the recorded series stays).
+  // alive.
   sim.shutdown();
-  if (config.metrics != nullptr) config.metrics->clear_gauges();
   return result;
 }
 

@@ -86,9 +86,6 @@ class HashJoinWorkload final : public sched::PhasedJob {
     }
     (void)pass;
   }
-  void check_invariants(std::size_t idx) override {
-    if (stores_[idx]) stores_[idx]->check_invariants();
-  }
 
  private:
   void fill_report(sched::JobReport& rep) override;
@@ -201,20 +198,8 @@ void HashJoinWorkload::launch(const sched::JobEnv& env,
   prepare_inputs();
 
   if (cfg_.metrics != nullptr) {
-    for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
-      core::HashLineStore& s = *stores_[n];
-      const auto node = static_cast<std::int32_t>(app_id(n));
-      cfg_.metrics->add_gauge("resident_bytes", node, [&s] {
-        return static_cast<double>(s.resident_bytes());
-      });
-      cfg_.metrics->add_gauge("lines_remote", node, [&s] {
-        return static_cast<double>(s.remote_lines());
-      });
-      cfg_.metrics->add_gauge("lines_disk", node, [&s] {
-        return static_cast<double>(s.disk_lines());
-      });
-    }
-    sim().spawn(obs::sample_process(sim(), *cfg_.metrics));
+    // The join sets no monitor cadence of its own: keep the sampler's.
+    start_sampling(*cfg_.metrics, cfg_.metrics->interval());
   }
 
   // One pass of build + probe under the generic phased runner.
@@ -261,9 +246,8 @@ HashJoinResult run_hash_join(const HashJoinConfig& config) {
   world.run_one_job(job);
   HashJoinResult result = job.result(world);
   // Destroy still-suspended frames while the stores they reference are
-  // alive; drop gauges that capture the job (the recorded series stays).
+  // alive.
   sim.shutdown();
-  if (config.metrics != nullptr) config.metrics->clear_gauges();
   return result;
 }
 
