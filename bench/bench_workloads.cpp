@@ -23,9 +23,8 @@ namespace {
 /// The flags every workload takes: cluster shape, memory limit and swap
 /// backend, tiered budget, and --validate. An absent flag keeps the
 /// workload's default; a negative limit means none.
-template <typename Config>
 void apply_common_flags(const Flags& flags, double default_limit_mb,
-                        Config& cfg) {
+                        sched::PhasedConfig& cfg) {
   cfg.app_nodes = static_cast<std::size_t>(
       flags.get_int("app-nodes", static_cast<std::int64_t>(cfg.app_nodes)));
   cfg.memory_nodes = static_cast<std::size_t>(flags.get_int(
@@ -38,19 +37,6 @@ void apply_common_flags(const Flags& flags, double default_limit_mb,
   const double budget_mb = flags.get_double("tiered-budget-mb", -1.0);
   if (budget_mb >= 0) cfg.tiered_remote_budget_bytes = bench::mb(budget_mb);
   cfg.validate_invariants = flags.get_bool("validate", false);
-}
-
-/// The run section of a standalone hash_join or hash_aggregate run.
-template <typename Result>
-obs::RunSection workload_section(const char* workload, std::string description,
-                                 const Result& r, bool exact) {
-  obs::RunSection run = sched::phased_run_section(workload, r.total_time,
-                                                  r.passes, r.phase_names);
-  run.description = std::move(description);
-  run.exact = exact;
-  run.pagefaults = r.pagefaults;
-  run.stats = r.stats;
-  return run;
 }
 
 void print_phase_summary(const std::vector<runtime::PassTiming>& passes,
@@ -105,13 +91,14 @@ int run_hash_join_workload(const Flags& flags, obs::RunObserver* observer) {
   if (observer) observer->begin_run(cfg, label);
   const workloads::HashJoinResult r = workloads::run_hash_join(cfg);
   if (observer) {
-    observer->end_run(workload_section(
-        "hash_join",
+    obs::RunSection run = sched::phased_run_section("hash_join", r);
+    run.description =
         bench::label("%lld build x %lld probe rows, limit %lld B/node",
                      static_cast<long long>(cfg.build_rows),
                      static_cast<long long>(cfg.probe_rows),
-                     static_cast<long long>(cfg.memory_limit_bytes)),
-        r, r.exact()));
+                     static_cast<long long>(cfg.memory_limit_bytes));
+    run.exact = r.exact();
+    observer->end_run(std::move(run));
   }
 
   std::printf("hash_join (%s): output %llu vs reference %llu (%s), "
@@ -136,12 +123,13 @@ int run_hash_aggregate_workload(const Flags& flags,
   if (observer) observer->begin_run(cfg, label);
   const workloads::HashAggregateResult r = workloads::run_hash_aggregate(cfg);
   if (observer) {
-    observer->end_run(workload_section(
-        "hash_aggregate",
+    obs::RunSection run = sched::phased_run_section("hash_aggregate", r);
+    run.description =
         bench::label("group-by over D=%lld, limit %lld B/node",
                      static_cast<long long>(cfg.workload.num_transactions),
-                     static_cast<long long>(cfg.memory_limit_bytes)),
-        r, r.exact));
+                     static_cast<long long>(cfg.memory_limit_bytes));
+    run.exact = r.exact;
+    observer->end_run(std::move(run));
   }
 
   std::printf("hash_aggregate (%s): %zu groups (%s), %.1f virtual s, "

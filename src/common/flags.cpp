@@ -11,6 +11,15 @@ namespace {
   std::exit(2);
 }
 
+/// Dies with the usage text unless the parse of `text` stopped at `end`,
+/// the end of a non-empty string.
+void require_number(const std::string& name, const std::string& text,
+                    const char* end, const std::string& usage) {
+  if (end == text.c_str() || *end != '\0') {
+    die("--" + name + " expects a number, got '" + text + "'", usage);
+  }
+}
+
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv,
@@ -66,13 +75,19 @@ std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  char* end = nullptr;
+  const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
+  require_number(name, it->second, end, usage());
+  return v;
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  char* end = nullptr;
+  const double v = std::strtod(it->second.c_str(), &end);
+  require_number(name, it->second, end, usage());
+  return v;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {

@@ -1,8 +1,8 @@
 // Tiny command-line flag parser for the bench / example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
-// flags abort with a usage message so experiment typos never silently run
-// the default configuration.
+// flags, and numeric flags whose value is not a number, abort with a usage
+// message so experiment typos never silently run the default configuration.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,8 @@ class Flags {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// The flag's value as a number; exits 2 with the usage text when it is
+  /// not one ("abc", "2x", "").
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

@@ -6,10 +6,8 @@
 #include "core/hash_line_store.hpp"
 #include "core/protocol.hpp"
 #include "obs/trace.hpp"
-#include "runtime/runner.hpp"
 #include "runtime/workload.hpp"
 #include "sched/data_path.hpp"
-#include "sim/simulation.hpp"
 #include "transport/tags.hpp"
 #include "transport/transport.hpp"
 
@@ -35,23 +33,13 @@ struct LargeList {
 
 class HpaWorkload final : public sched::PhasedJob {
  public:
-  explicit HpaWorkload(HpaConfig cfg) : cfg_(std::move(cfg)) {
-    RMS_CHECK(cfg_.app_nodes >= 1);
+  explicit HpaWorkload(HpaConfig cfg) : PhasedJob(cfg), cfg_(std::move(cfg)) {
     RMS_CHECK(cfg_.hash_lines >= cfg_.app_nodes);
     RMS_CHECK(cfg_.min_support > 0 && cfg_.min_support <= 1.0);
-    RMS_CHECK_MSG(cfg_.memory_limit_bytes < 0 ||
-                      cfg_.policy != core::SwapPolicy::kNoLimit,
-                  "a memory limit needs a swap policy");
-    RMS_CHECK_MSG(!uses_remote_memory_policy() || cfg_.memory_nodes > 0,
-                  "remote policies need at least one memory-available node");
   }
 
-  bool uses_remote_memory_policy() const {
-    return cfg_.memory_limit_bytes >= 0 && core::uses_remote_memory(cfg_.policy);
-  }
-
-  /// The run's result, read after World::run_one_job returned.
-  HpaResult result(sched::World& world);
+  /// Mine alone on a single-job world with `wcfg`'s world-only fields.
+  HpaResult run(sched::WorldConfig wcfg);
 
   // ---- sched::JobRuntime ----
   const char* workload_name() const override { return "hpa"; }
@@ -103,10 +91,7 @@ class HpaWorkload final : public sched::PhasedJob {
     finish_pass_report(timing);
   }
   void end_pass_local(std::size_t idx, std::size_t /*pass*/) override {
-    failover_total_.merge(stores_[idx]->failover());
-    integrity_total_.merge(stores_[idx]->integrity());
-    store_stats_total_.merge(stores_[idx]->stats());
-    stores_[idx].reset();
+    retire_store(idx);
   }
 
  private:
@@ -196,10 +181,6 @@ class HpaWorkload final : public sched::PhasedJob {
   std::int64_t total_candidates_ = 0;
 
   HpaResult result_;
-  // Stores are torn down at every pass end; their counters fold in here.
-  core::FailoverStats failover_total_;
-  core::IntegrityStats integrity_total_;
-  StatsRegistry store_stats_total_;
 };
 
 // ---------------------------------------------------------------------------
@@ -305,12 +286,8 @@ sim::Task<> HpaWorkload::build_store(std::size_t idx) {
   Node& node = app_node(idx);
   const cluster::CostModel& costs = node.costs();
 
-  core::HashLineStore::Config scfg;
-  scfg.num_lines = local_line_count(idx);
-  scfg.memory_limit_bytes = cfg_.memory_limit_bytes;
-  scfg.policy = cfg_.policy;
+  core::HashLineStore::Config scfg = store_config(local_line_count(idx));
   scfg.eviction = cfg_.eviction;
-  scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
   scfg.message_block_bytes = cfg_.message_block_bytes;
   if (cfg_.remote_determination) scfg.fetch_filter_min_count = min_count_;
   scfg.replicate_k = cfg_.replicate_k;
@@ -319,9 +296,7 @@ sim::Task<> HpaWorkload::build_store(std::size_t idx) {
   scfg.rpc_deadline = cfg_.rpc_deadline;
   scfg.rpc_max_retries = cfg_.rpc_max_retries;
   scfg.rpc_window = cfg_.rpc_window;
-  scfg.trace = cfg_.trace;
-  stores_[idx] = std::make_unique<core::HashLineStore>(node, scfg,
-                                                       env_.brokers[idx]);
+  create_store(idx, scfg);
 
   // Full candidate-stream scan (hash + destination test for every
   // candidate, §2.2 step 1).
@@ -481,62 +456,42 @@ bool HpaWorkload::check_exactness() const {
 
 void HpaWorkload::launch(const sched::JobEnv& env,
                          std::function<void()> on_done) {
-  attach(env, cfg_.app_nodes);
+  attach(env);
   build_partition_cuts();
   prepare_inputs();
-  if (cfg_.metrics != nullptr) {
-    start_sampling(*cfg_.metrics, cfg_.monitor_interval);
-  }
-
   // Mining proper: the generic phased runner owns barriers, phase spans,
   // invariant hooks, and per-pass report assembly; this class is the
-  // Workload it drives. first_pass is 2 because pass 1 is the prologue
-  // (no hash-line store, no phases — see pass1()).
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 2;
-  rcfg.max_pass = cfg_.max_k;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  // Let the first availability broadcasts land before any swap decision.
-  rcfg.warmup = msec(10);
-  rcfg.trace = cfg_.trace;
-  start_runner(std::move(rcfg), std::move(on_done));
+  // Workload it drives. The first phased pass is 2 because pass 1 is the
+  // prologue (no hash-line store, no phases — see pass1()). The 10 ms
+  // warmup lets the first availability broadcasts land before any swap
+  // decision.
+  start_runner(2, cfg_.max_k, msec(10), std::move(on_done));
 }
 
-HpaResult HpaWorkload::result(sched::World& world) {
-  result_.total_time = runner().total_time();
-  result_.phase_names = runner().phases().names();
+HpaResult HpaWorkload::run(sched::WorldConfig wcfg) {
+  sched::PhasedResult r = run_standalone(std::move(wcfg));
+  result_.total_time = r.total_time;
+  result_.phase_names = std::move(r.phase_names);
+  result_.stats = std::move(r.stats);
+  result_.failover = r.failover;
+  result_.integrity = r.integrity;
   for (const PassReport& p : result_.passes) {
     result_.mined.passes.push_back(
         mining::PassInfo{p.k, p.candidates_global, p.large_global});
   }
-  result_.stats = world.merged_stats(store_stats_total_);
-  result_.failover = failover_total_;
-  result_.integrity = integrity_total_;
   return std::move(result_);
 }
 
 void HpaWorkload::fill_report(sched::JobReport& rep) {
-  // Stores are torn down at every pass end; the per-pass reports carry the
-  // counters.
-  for (const PassReport& p : result_.passes) {
-    for (std::int64_t v : p.pagefaults_per_node) rep.pagefaults += v;
-    for (std::int64_t v : p.swap_outs_per_node) rep.swap_outs += v;
-    for (std::int64_t v : p.updates_per_node) rep.updates_sent += v;
-  }
-  rep.degraded_evictions = failover_total_.degraded_evictions;
   if (rep.completed) {
     rep.exact = check_exactness();
     rep.summary = "large=" + std::to_string(result_.mined.support.size());
   }
 }
 
-/// The single-job world run_hpa() builds around `cfg`.
-sched::WorldConfig one_job_world(const HpaConfig& cfg) {
+/// The world-only fields of the single-job world run_hpa() builds.
+sched::WorldConfig world_fields(const HpaConfig& cfg) {
   sched::WorldConfig w;
-  w.layout = sched::WorldConfig::Layout::kSingleJob;
-  w.app_nodes = cfg.app_nodes;
-  w.memory_nodes = cfg.memory_nodes;
   w.message_block_bytes = cfg.message_block_bytes;
   w.monitor_interval = cfg.monitor_interval;
   w.shortage_threshold_bytes = cfg.shortage_threshold_bytes;
@@ -554,23 +509,13 @@ sched::WorldConfig one_job_world(const HpaConfig& cfg) {
   w.crashes = cfg.crashes;
   w.loss_bursts = cfg.loss_bursts;
   w.corruption = cfg.corruption;
-  w.trace = cfg.trace;
-  w.profiler = cfg.profiler;
   return w;
 }
 
 }  // namespace
 
 HpaResult run_hpa(const HpaConfig& config) {
-  sim::Simulation sim;
-  sched::World world(sim, one_job_world(config));
-  HpaWorkload job(config);
-  world.run_one_job(job);
-  HpaResult result = job.result(world);
-  // Destroy still-suspended frames (daemons, in-flight store calls) while
-  // the world and the job's stores they reference are alive.
-  sim.shutdown();
-  return result;
+  return HpaWorkload(config).run(world_fields(config));
 }
 
 sched::JobRuntimePtr make_hpa_job(HpaConfig config) {

@@ -31,17 +31,16 @@
 #include "placement/placement.hpp"
 #include "sched/world.hpp"
 
-namespace rms::obs {
-class TraceRecorder;
-class MetricsSampler;
-class ProfileHook;
-}
-
 namespace rms::hpa {
 
-struct HpaConfig {
-  std::size_t app_nodes = 8;      // the paper's evaluation uses 8 (§5.1)
-  std::size_t memory_nodes = 16;  // maximum memory-available nodes
+/// The miner's settings. The cluster shape, memory limit, swap policy,
+/// tiered budget, invariant sweep and observability sinks come from
+/// sched::PhasedConfig.
+struct HpaConfig : sched::PhasedConfig {
+  HpaConfig() {
+    app_nodes = 8;      // the paper's evaluation uses 8 (§5.1)
+    memory_nodes = 16;  // maximum memory-available nodes
+  }
 
   mining::QuestParams workload = mining::QuestParams::paper_experiment();
   double min_support = 0.001;  // paper experiment: 0.1%
@@ -50,18 +49,12 @@ struct HpaConfig {
   std::int64_t message_block_bytes = 4096; // §5.1
   std::int64_t io_block_bytes = 65536;     // §5.1
 
-  /// Per-node memory usage limit for candidate itemsets; -1 disables.
-  std::int64_t memory_limit_bytes = -1;
-  core::SwapPolicy policy = core::SwapPolicy::kNoLimit;
   /// Victim selection for evictions (paper: LRU; others for ablation).
   core::EvictionPolicy eviction = core::EvictionPolicy::kLru;
   /// Swap-destination strategy for each node's placement::MemoryBroker
   /// (--placement on the benches). kPaperRoundRobin is bit-identical to the
   /// paper's hard-coded heuristic.
   placement::PolicyKind placement = placement::PolicyKind::kPaperRoundRobin;
-  /// kTiered only: per-node byte budget for primary copies parked in remote
-  /// memory; evictions past it spill to the local disk (-1 = unlimited).
-  std::int64_t tiered_remote_budget_bytes = -1;
   /// Extension: memory servers filter sub-threshold entries out of
   /// end-of-pass fetches ("remote determination"), shrinking the collect
   /// transfer. Off by default (the paper ships lines back whole).
@@ -113,30 +106,10 @@ struct HpaConfig {
   /// Availability staleness: entries older than this many monitor intervals
   /// stop attracting swap-outs (0 = never expire).
   int stale_after_intervals = 0;
-  /// Debug: run HashLineStore::check_invariants() (residency core plus the
-  /// active backend's replica/holder/batch bookkeeping) at every phase
-  /// barrier. Pure assertions — no virtual-time effect. Failover tests turn
-  /// this on.
-  bool validate_invariants = false;
 
   /// Reuse a pre-generated database (the benches sweep many configurations
   /// over one workload); when null the workload parameters generate one.
   const mining::TransactionDb* shared_db = nullptr;
-
-  // ---- observability (all null by default: zero-cost when disabled) ----
-  /// Trace sink: swap/RPC/failover spans plus per-pass phase spans. Must
-  /// outlive the run. Recording is passive — virtual-time results are
-  /// bit-identical with or without it.
-  obs::TraceRecorder* trace = nullptr;
-  /// Gauge sampler: sched::PhasedJob's per-node residency/RPC/staleness
-  /// gauge set, sampled at `monitor_interval` granularity; the gauges are
-  /// dropped before run_hpa returns.
-  obs::MetricsSampler* metrics = nullptr;
-  /// Profiler sink: when set, every node feeds CPU and disk busy intervals
-  /// directly to it (bypassing the trace ring) so per-pass attribution stays
-  /// exact even when the ring drops events. Stamped by obs::RunObserver; pair
-  /// with `trace` (the profiler also consumes the recorded spans).
-  obs::ProfileHook* profiler = nullptr;
 };
 
 // HPA's phase ids in the runtime phase registry, in registration (and
@@ -197,10 +170,12 @@ HpaResult run_hpa(const HpaConfig& config);
 
 /// The same miner as a job for a shared sched::World, run on
 /// scheduler-leased slots. config.metrics and config.profiler must be null
-/// and every fault-injection list empty (the world owns the cluster); the
-/// world-level fields (memory_nodes, monitor_interval, placement,
-/// rpc_window, cluster, ...) are ignored — the world supplies them.
-/// config.trace may point at the world's shared recorder.
+/// and every fault-injection list empty (the world owns the cluster). The
+/// fields run_hpa builds its world from (memory_nodes, monitor_interval,
+/// shortage_threshold_bytes, placement, stale_after_intervals,
+/// suspect_after_misses, cluster, and rpc_window for the memory servers)
+/// do not apply: the shared world has its own. config.trace may point at
+/// the world's shared recorder.
 sched::JobRuntimePtr make_hpa_job(HpaConfig config);
 
 /// The candidate-partition proportions the paper observed across its 8

@@ -1,14 +1,27 @@
 #include "sched/job.hpp"
 
 #include "cluster/cluster.hpp"
-#include "core/hash_line_store.hpp"
 #include "obs/artifact.hpp"
 #include "obs/metrics.hpp"
 #include "placement/placement.hpp"
 #include "runtime/runner.hpp"
+#include "sched/world.hpp"
 #include "sim/simulation.hpp"
 
 namespace rms::sched {
+namespace {
+
+/// Add `store`'s counters, fault ledgers and counter registry to `totals`.
+void add_store(PhasedResult& totals, const core::HashLineStore& store) {
+  totals.pagefaults += store.pagefaults();
+  totals.swap_outs += store.swap_outs();
+  totals.updates_sent += store.updates_sent();
+  totals.failover.merge(store.failover());
+  totals.integrity.merge(store.integrity());
+  totals.stats.merge(store.stats());
+}
+
+}  // namespace
 
 obs::RunSection phased_run_section(
     std::string workload, Time total_time,
@@ -30,13 +43,35 @@ obs::RunSection phased_run_section(
   return run;
 }
 
-PhasedJob::PhasedJob() = default;
+obs::RunSection phased_run_section(std::string workload,
+                                   const PhasedResult& result) {
+  obs::RunSection run =
+      phased_run_section(std::move(workload), result.total_time,
+                         result.passes, result.phase_names);
+  run.pagefaults = result.pagefaults;
+  run.stats = result.stats;
+  run.failover = result.failover;
+  run.integrity = result.integrity;
+  return run;
+}
+
+PhasedJob::PhasedJob(const PhasedConfig& cfg) : phased_cfg_(cfg) {
+  RMS_CHECK(cfg.app_nodes >= 1);
+  RMS_CHECK_MSG(cfg.memory_limit_bytes < 0 ||
+                    cfg.policy != core::SwapPolicy::kNoLimit,
+                "a memory limit needs a swap policy");
+  RMS_CHECK_MSG(cfg.memory_limit_bytes < 0 ||
+                    !core::uses_remote_memory(cfg.policy) ||
+                    cfg.memory_nodes > 0,
+                "remote policies need at least one memory-available node");
+}
 
 PhasedJob::~PhasedJob() {
   if (sampler_ != nullptr) sampler_->clear_gauges();
 }
 
-void PhasedJob::attach(const JobEnv& env, std::size_t participants) {
+void PhasedJob::attach(const JobEnv& env) {
+  const std::size_t participants = phased_cfg_.app_nodes;
   RMS_CHECK(env.sim != nullptr && env.cluster != nullptr);
   RMS_CHECK_MSG(env.app_nodes.size() == participants,
                 "slot lease must match the job's participant count");
@@ -54,17 +89,70 @@ void PhasedJob::attach(const JobEnv& env, std::size_t participants) {
   }
 }
 
-void PhasedJob::start_runner(runtime::RunnerConfig rcfg,
-                             std::function<void()> on_done) {
+core::HashLineStore::Config PhasedJob::store_config(
+    std::size_t num_lines) const {
+  core::HashLineStore::Config scfg;
+  scfg.num_lines = num_lines;
+  scfg.memory_limit_bytes = phased_cfg_.memory_limit_bytes;
+  scfg.policy = phased_cfg_.policy;
+  scfg.tiered_remote_budget_bytes = phased_cfg_.tiered_remote_budget_bytes;
+  scfg.trace = phased_cfg_.trace;
+  return scfg;
+}
+
+void PhasedJob::create_store(std::size_t idx,
+                             const core::HashLineStore::Config& scfg) {
+  stores_[idx] = std::make_unique<core::HashLineStore>(app_node(idx), scfg,
+                                                       env_.brokers[idx]);
+}
+
+void PhasedJob::retire_store(std::size_t idx) {
+  add_store(retired_, *stores_[idx]);
+  stores_[idx].reset();
+}
+
+void PhasedJob::start_runner(std::size_t first_pass, std::size_t max_pass,
+                             Time warmup, std::function<void()> on_done) {
+  if (phased_cfg_.metrics != nullptr) start_sampling(*phased_cfg_.metrics);
+  runtime::RunnerConfig rcfg;
+  rcfg.participants = phased_cfg_.app_nodes;
   rcfg.tracks.assign(env_.app_nodes.begin(), env_.app_nodes.end());
+  rcfg.first_pass = first_pass;
+  rcfg.max_pass = max_pass;
+  rcfg.validate_invariants = phased_cfg_.validate_invariants;
+  rcfg.warmup = warmup;
+  rcfg.trace = phased_cfg_.trace;
   rcfg.on_finished = std::move(on_done);
   runner_ = std::make_unique<runtime::PhasedRunner>(sim(), *this, rcfg);
   runner_->start();
 }
 
-void PhasedJob::start_sampling(obs::MetricsSampler& sampler, Time interval) {
+PhasedResult PhasedJob::run_standalone(WorldConfig wcfg) {
+  wcfg.layout = WorldConfig::Layout::kSingleJob;
+  wcfg.app_nodes = phased_cfg_.app_nodes;
+  wcfg.memory_nodes = phased_cfg_.memory_nodes;
+  wcfg.trace = phased_cfg_.trace;
+  wcfg.profiler = phased_cfg_.profiler;
+  // The gauges sample at the monitors' cadence.
+  if (phased_cfg_.metrics != nullptr) {
+    phased_cfg_.metrics->set_interval(wcfg.monitor_interval);
+  }
+  sim::Simulation sim;
+  World world(sim, std::move(wcfg));
+  world.run_one_job(*this);
+  PhasedResult result = store_totals();
+  result.total_time = runner_->total_time();
+  result.passes = runner_->passes();
+  result.phase_names = runner_->phases().names();
+  result.stats = world.merged_stats(result.stats);
+  // Destroy still-suspended frames (daemons, in-flight store calls) while
+  // the world and the job's stores they reference are alive.
+  sim.shutdown();
+  return result;
+}
+
+void PhasedJob::start_sampling(obs::MetricsSampler& sampler) {
   sampler_ = &sampler;
-  sampler.set_interval(interval);
   for (std::size_t i = 0; i < stores_.size(); ++i) {
     const auto node = static_cast<std::int32_t>(app_id(i));
     const auto store_gauge = [&sampler, node, this, i](const char* name,
@@ -135,6 +223,11 @@ JobReport PhasedJob::harvest() {
     rep.passes = runner_->passes();
     rep.phase_names = runner_->phases().names();
   }
+  const PhasedResult totals = store_totals();
+  rep.pagefaults = totals.pagefaults;
+  rep.swap_outs = totals.swap_outs;
+  rep.updates_sent = totals.updates_sent;
+  rep.degraded_evictions = totals.failover.degraded_evictions;
   fill_report(rep);
   if (env_.slots != nullptr) {
     for (net::NodeId id : env_.app_nodes) env_.slots->unbind(id);
@@ -142,22 +235,12 @@ JobReport PhasedJob::harvest() {
   return rep;
 }
 
-void PhasedJob::add_store_counters(JobReport& rep) const {
+PhasedResult PhasedJob::store_totals() const {
+  PhasedResult totals = retired_;
   for (const auto& store : stores_) {
-    if (!store) continue;
-    rep.pagefaults += store->pagefaults();
-    rep.swap_outs += store->swap_outs();
-    rep.updates_sent += store->updates_sent();
-    rep.degraded_evictions += store->failover().degraded_evictions;
+    if (store) add_store(totals, *store);
   }
-}
-
-StatsRegistry PhasedJob::store_stats() const {
-  StatsRegistry out;
-  for (const auto& store : stores_) {
-    if (store) out.merge(store->stats());
-  }
-  return out;
+  return totals;
 }
 
 }  // namespace rms::sched

@@ -3,7 +3,8 @@
 // One simulation, one cluster, one donor pool, one or many jobs. Every
 // entry point builds its world here: the multi-tenant JobScheduler, and
 // the standalone run_hpa / run_hash_aggregate / run_hash_join, which run a
-// single job on a world of their own (run_one_job). Two node layouts:
+// single job on a world of their own (PhasedJob::run_standalone, through
+// run_one_job). Two node layouts:
 //
 //   kScheduled (JobScheduler worlds)
 //     node 0                      — the scheduler (admission broker)

@@ -6,10 +6,8 @@
 
 #include "cluster/cluster.hpp"
 #include "core/hash_line_store.hpp"
-#include "runtime/runner.hpp"
 #include "sched/data_path.hpp"
 #include "sched/world.hpp"
-#include "sim/simulation.hpp"
 #include "transport/tags.hpp"
 #include "transport/transport.hpp"
 
@@ -28,20 +26,12 @@ struct AggGroups {
 class HashAggregateWorkload final : public sched::PhasedJob {
  public:
   explicit HashAggregateWorkload(HashAggregateConfig cfg)
-      : cfg_(std::move(cfg)) {
-    RMS_CHECK(cfg_.app_nodes >= 1);
+      : PhasedJob(cfg), cfg_(std::move(cfg)) {
     RMS_CHECK(cfg_.hash_lines >= cfg_.app_nodes);
-    RMS_CHECK_MSG(cfg_.memory_limit_bytes < 0 ||
-                      cfg_.policy != core::SwapPolicy::kNoLimit,
-                  "a memory limit needs a swap policy");
-    RMS_CHECK_MSG(cfg_.memory_limit_bytes < 0 ||
-                      !core::uses_remote_memory(cfg_.policy) ||
-                      cfg_.memory_nodes > 0,
-                  "remote policies need at least one memory-available node");
   }
 
-  /// The run's result, read after World::run_one_job returned.
-  HashAggregateResult result(sched::World& world);
+  /// Aggregate alone on a single-job world.
+  HashAggregateResult run();
 
   // ---- sched::JobRuntime ----
   const char* workload_name() const override { return "hash_aggregate"; }
@@ -117,17 +107,7 @@ class HashAggregateWorkload final : public sched::PhasedJob {
 
 sim::Task<> HashAggregateWorkload::build(std::size_t idx) {
   Node& node = app_node(idx);
-
-  core::HashLineStore::Config scfg;
-  scfg.num_lines = local_line_count(idx);
-  scfg.memory_limit_bytes = cfg_.memory_limit_bytes;
-  scfg.policy = cfg_.policy;
-  scfg.eviction = cfg_.eviction;
-  scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
-  scfg.message_block_bytes = cfg_.message_block_bytes;
-  scfg.trace = cfg_.trace;
-  stores_[idx] = std::make_unique<core::HashLineStore>(node, scfg,
-                                                       env_.brokers[idx]);
+  create_store(idx, store_config(local_line_count(idx)));
 
   const auto& groups = groups_by_owner_[idx];
   co_await sched::build_lines(
@@ -144,8 +124,6 @@ sim::Task<> HashAggregateWorkload::scan(std::size_t idx) {
   sched::ShuffleSpec spec;
   spec.tag = tuple_tag_;
   spec.element_bytes = 8;  // item + framing
-  spec.block_bytes = cfg_.message_block_bytes;
-  spec.io_block_bytes = cfg_.io_block_bytes;
   co_await sched::shuffle_phase<mining::Item>(
       app_node(idx), env_.app_nodes, idx, *stores_[idx], partitions_[idx],
       spec,
@@ -244,43 +222,22 @@ void HashAggregateWorkload::check_exactness() {
 
 void HashAggregateWorkload::launch(const sched::JobEnv& env,
                                    std::function<void()> on_done) {
-  attach(env, cfg_.app_nodes);
+  attach(env);
   tuple_tag_ = transport::TagRegistry::global().register_service("agg_tuples");
   gather_tag_ = transport::TagRegistry::global().register_service("agg_gather");
   prepare_inputs();
-
-  if (cfg_.metrics != nullptr) {
-    start_sampling(*cfg_.metrics, cfg_.monitor_interval);
-  }
-
-  // One pass of build/scan/collect under the generic phased runner.
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 1;
-  rcfg.max_pass = 1;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  // Let the first availability broadcasts land before any swap decision.
-  rcfg.warmup = msec(10);
-  rcfg.trace = cfg_.trace;
-  start_runner(std::move(rcfg), std::move(on_done));
+  // One pass of build/scan/collect; the 10 ms warmup lets the first
+  // availability broadcasts land before any swap decision.
+  start_runner(1, 1, msec(10), std::move(on_done));
 }
 
-HashAggregateResult HashAggregateWorkload::result(sched::World& world) {
-  result_.total_time = runner().total_time();
-  result_.passes = runner().passes();
-  result_.phase_names = runner().phases().names();
-  for (auto& s : stores_) {
-    result_.pagefaults += s->pagefaults();
-    result_.swap_outs += s->swap_outs();
-    result_.updates_sent += s->updates_sent();
-  }
-  result_.stats = world.merged_stats(store_stats());
+HashAggregateResult HashAggregateWorkload::run() {
+  static_cast<sched::PhasedResult&>(result_) = run_standalone({});
   check_exactness();
   return std::move(result_);
 }
 
 void HashAggregateWorkload::fill_report(sched::JobReport& rep) {
-  add_store_counters(rep);
   if (rep.completed) {
     check_exactness();
     rep.exact = result_.exact;
@@ -291,25 +248,7 @@ void HashAggregateWorkload::fill_report(sched::JobReport& rep) {
 }  // namespace
 
 HashAggregateResult run_hash_aggregate(const HashAggregateConfig& config) {
-  sched::WorldConfig wcfg;
-  wcfg.layout = sched::WorldConfig::Layout::kSingleJob;
-  wcfg.app_nodes = config.app_nodes;
-  wcfg.memory_nodes = config.memory_nodes;
-  wcfg.message_block_bytes = config.message_block_bytes;
-  wcfg.monitor_interval = config.monitor_interval;
-  wcfg.shortage_threshold_bytes = config.shortage_threshold_bytes;
-  wcfg.placement = config.placement;
-  wcfg.trace = config.trace;
-  wcfg.profiler = config.profiler;
-  sim::Simulation sim;
-  sched::World world(sim, wcfg);
-  HashAggregateWorkload job(config);
-  world.run_one_job(job);
-  HashAggregateResult result = job.result(world);
-  // Destroy still-suspended frames while the stores they reference are
-  // alive.
-  sim.shutdown();
-  return result;
+  return HashAggregateWorkload(config).run();
 }
 
 sched::JobRuntimePtr make_hash_aggregate_job(HashAggregateConfig config) {

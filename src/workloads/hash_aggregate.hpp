@@ -23,21 +23,10 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
-#include "common/time.hpp"
-#include "core/policy.hpp"
 #include "mining/generator.hpp"
 #include "mining/itemset.hpp"
 #include "mining/transaction_db.hpp"
-#include "placement/placement.hpp"
-#include "runtime/workload.hpp"
 #include "sched/job.hpp"
-
-namespace rms::obs {
-class TraceRecorder;
-class MetricsSampler;
-class ProfileHook;
-}
 
 namespace rms::workloads {
 
@@ -47,64 +36,34 @@ inline constexpr std::size_t kAggScanPhase = 1;
 inline constexpr std::size_t kAggCollectPhase = 2;
 inline constexpr std::size_t kAggNumPhases = 3;
 
-struct HashAggregateConfig {
-  std::size_t app_nodes = 4;
-  std::size_t memory_nodes = 4;
-
+/// The group-by's settings; the cluster shape, memory limit, swap policy,
+/// tiered budget, invariant sweep and observability sinks come from
+/// sched::PhasedConfig.
+struct HashAggregateConfig : sched::PhasedConfig {
   /// The database to aggregate (QUEST-generated unless shared_db is set).
   mining::QuestParams workload = mining::QuestParams::paper_experiment(0.01);
   const mining::TransactionDb* shared_db = nullptr;
 
-  std::size_t hash_lines = 4096;            // global group hash lines
-  std::int64_t message_block_bytes = 4096;  // tuple-shipping wire block
-  std::int64_t io_block_bytes = 65536;      // partition scan read unit
-
-  /// Per-node memory limit for the aggregation table; -1 disables.
-  std::int64_t memory_limit_bytes = -1;
-  core::SwapPolicy policy = core::SwapPolicy::kNoLimit;
-  core::EvictionPolicy eviction = core::EvictionPolicy::kLru;
-  placement::PolicyKind placement = placement::PolicyKind::kPaperRoundRobin;
-  std::int64_t tiered_remote_budget_bytes = -1;
-
-  Time monitor_interval = sec(3);
-  std::int64_t shortage_threshold_bytes = 256 << 10;
-
-  /// Run HashLineStore::check_invariants at every phase barrier.
-  bool validate_invariants = false;
-
-  // ---- observability (all null by default: zero-cost when disabled) ----
-  obs::TraceRecorder* trace = nullptr;
-  obs::MetricsSampler* metrics = nullptr;
-  obs::ProfileHook* profiler = nullptr;
+  std::size_t hash_lines = 4096;  // global group hash lines
 };
 
-struct HashAggregateResult {
+/// One pass (build/scan/collect), the store counters and fault ledgers,
+/// and the merged counters (sched::PhasedResult), plus the group table.
+struct HashAggregateResult : sched::PhasedResult {
   /// Global per-item counts, sorted by item, zero-count groups omitted —
   /// gathered on node 0 in the collect phase.
   std::vector<mining::CountedItemset> groups;
   /// groups == the scalar single-pass reference over the same database.
   bool exact = false;
-
-  Time total_time = 0;
-  std::vector<runtime::PassTiming> passes;  // one pass: build/scan/collect
-  std::vector<std::string> phase_names;
-  std::int64_t pagefaults = 0;
-  std::int64_t swap_outs = 0;
-  std::int64_t updates_sent = 0;
-
-  /// Merged counters from every node, disk, the network, the stores'
-  /// backends and the placement brokers.
-  StatsRegistry stats;
 };
 
 HashAggregateResult run_hash_aggregate(const HashAggregateConfig& config);
 
 /// The same workload as a job for a shared sched::World, run on
 /// scheduler-leased slots. config.metrics and config.profiler must be null
-/// (the shared world cannot attribute them per job); the world-level
-/// fields (memory_nodes, monitor_interval, shortage_threshold_bytes,
-/// placement) are ignored. config.trace may point at the world's shared
-/// recorder.
+/// (the shared world cannot attribute them per job), and the shared
+/// world's donor pool stands in for config.memory_nodes. config.trace may
+/// point at the world's shared recorder.
 sched::JobRuntimePtr make_hash_aggregate_job(HashAggregateConfig config);
 
 }  // namespace rms::workloads

@@ -6,12 +6,9 @@
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "core/hash_line_store.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/cpu_charger.hpp"
-#include "runtime/runner.hpp"
 #include "sched/data_path.hpp"
 #include "sched/world.hpp"
-#include "sim/simulation.hpp"
 
 namespace rms::workloads {
 namespace {
@@ -50,16 +47,13 @@ mining::Itemset make_entry(mining::Item key, std::uint32_t row_id) {
 
 class HashJoinWorkload final : public sched::PhasedJob {
  public:
-  explicit HashJoinWorkload(HashJoinConfig cfg) : cfg_(std::move(cfg)) {
-    RMS_CHECK(cfg_.app_nodes >= 1);
+  explicit HashJoinWorkload(HashJoinConfig cfg)
+      : PhasedJob(cfg), cfg_(std::move(cfg)) {
     RMS_CHECK(cfg_.lines_per_node >= 1);
-    RMS_CHECK_MSG(cfg_.memory_limit_bytes < 0 ||
-                      cfg_.policy != core::SwapPolicy::kNoLimit,
-                  "a memory limit needs a swap policy");
   }
 
-  /// The run's result, read after the job's final barrier.
-  HashJoinResult result(sched::World& world);
+  /// Join alone on a single-job world.
+  HashJoinResult run();
 
   // ---- sched::JobRuntime ----
   const char* workload_name() const override { return "hash_join"; }
@@ -140,9 +134,6 @@ class HashJoinWorkload final : public sched::PhasedJob {
 
   /// Input generation, partitioning, and the scalar reference.
   void prepare_inputs();
-  /// One store per application node against that node's broker (stores
-  /// precede the runner and live until the job is destroyed).
-  void create_stores();
 
   const HashJoinConfig cfg_;
 
@@ -177,53 +168,28 @@ void HashJoinWorkload::prepare_inputs() {
   }
 }
 
-void HashJoinWorkload::create_stores() {
-  for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
-    core::HashLineStore::Config scfg;
-    scfg.num_lines = cfg_.lines_per_node;
-    scfg.memory_limit_bytes = cfg_.memory_limit_bytes;
-    scfg.policy = cfg_.policy;
-    scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
-    scfg.trace = cfg_.trace;
-    stores_[n] = std::make_unique<core::HashLineStore>(app_node(n), scfg,
-                                                       env_.brokers[n]);
-  }
-}
-
 void HashJoinWorkload::launch(const sched::JobEnv& env,
                               std::function<void()> on_done) {
-  attach(env, cfg_.app_nodes);
-  create_stores();
+  attach(env);
+  // One store per application node; they precede the runner and live until
+  // the job is destroyed.
+  for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
+    create_store(n, store_config(cfg_.lines_per_node));
+  }
   // Inputs, their per-node partition, and the scalar reference.
   prepare_inputs();
-
-  if (cfg_.metrics != nullptr) {
-    // The join sets no monitor cadence of its own: keep the sampler's.
-    start_sampling(*cfg_.metrics, cfg_.metrics->interval());
-  }
-
-  // One pass of build + probe under the generic phased runner.
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 1;
-  rcfg.max_pass = 1;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  rcfg.trace = cfg_.trace;
-  start_runner(std::move(rcfg), std::move(on_done));
+  // One pass of build + probe, with no warmup: the join starts before the
+  // first availability broadcasts land.
+  start_runner(1, 1, 0, std::move(on_done));
 }
 
-HashJoinResult HashJoinWorkload::result(sched::World& world) {
+HashJoinResult HashJoinWorkload::run() {
+  static_cast<sched::PhasedResult&>(result_) = run_standalone({});
   result_.output = output_;
-  result_.total_time = runner().total_time();
-  result_.passes = runner().passes();
-  result_.phase_names = runner().phases().names();
-  for (auto& s : stores_) result_.pagefaults += s->pagefaults();
-  result_.stats = world.merged_stats(store_stats());
   return std::move(result_);
 }
 
 void HashJoinWorkload::fill_report(sched::JobReport& rep) {
-  add_store_counters(rep);
   if (rep.completed) {
     result_.output = output_;
     rep.exact = result_.output == result_.expected;
@@ -234,21 +200,7 @@ void HashJoinWorkload::fill_report(sched::JobReport& rep) {
 }  // namespace
 
 HashJoinResult run_hash_join(const HashJoinConfig& config) {
-  sched::WorldConfig wcfg;
-  wcfg.layout = sched::WorldConfig::Layout::kSingleJob;
-  wcfg.app_nodes = config.app_nodes;
-  wcfg.memory_nodes = config.memory_nodes;
-  wcfg.trace = config.trace;
-  wcfg.profiler = config.profiler;
-  sim::Simulation sim;
-  sched::World world(sim, wcfg);
-  HashJoinWorkload job(config);
-  world.run_one_job(job);
-  HashJoinResult result = job.result(world);
-  // Destroy still-suspended frames while the stores they reference are
-  // alive.
-  sim.shutdown();
-  return result;
+  return HashJoinWorkload(config).run();
 }
 
 sched::JobRuntimePtr make_hash_join_job(HashJoinConfig config) {

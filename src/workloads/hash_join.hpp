@@ -17,17 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
-#include "common/time.hpp"
-#include "core/policy.hpp"
-#include "runtime/workload.hpp"
 #include "sched/job.hpp"
-
-namespace rms::obs {
-class TraceRecorder;
-class MetricsSampler;
-class ProfileHook;
-}
 
 namespace rms::workloads {
 
@@ -36,9 +26,15 @@ inline constexpr std::size_t kJoinBuildPhase = 0;  // insert R partition
 inline constexpr std::size_t kJoinProbePhase = 1;  // count S matches
 inline constexpr std::size_t kJoinNumPhases = 2;
 
-struct HashJoinConfig {
-  std::size_t app_nodes = 4;
-  std::size_t memory_nodes = 4;
+/// The join's settings; the cluster shape, build-table limit, swap
+/// policy, tiered budget, invariant sweep and observability sinks come from
+/// sched::PhasedConfig.
+struct HashJoinConfig : sched::PhasedConfig {
+  HashJoinConfig() {
+    memory_limit_bytes = 192'000;  // spills part of every build table
+    policy = core::SwapPolicy::kRemoteSwap;
+  }
+
   std::size_t lines_per_node = 512;
 
   std::int64_t build_rows = 40'000;
@@ -46,35 +42,14 @@ struct HashJoinConfig {
   std::uint32_t keys = 5'000;
   std::uint64_t build_seed = 11;
   std::uint64_t probe_seed = 22;
-
-  /// Per-node build-table limit; -1 disables (and the policy is ignored).
-  std::int64_t memory_limit_bytes = 192'000;
-  core::SwapPolicy policy = core::SwapPolicy::kRemoteSwap;
-  /// kTiered only: remote-tier byte budget (-1 = unlimited).
-  std::int64_t tiered_remote_budget_bytes = -1;
-
-  /// Run HashLineStore::check_invariants at every phase barrier.
-  bool validate_invariants = false;
-
-  // ---- observability (all null by default: zero-cost when disabled) ----
-  obs::TraceRecorder* trace = nullptr;
-  obs::MetricsSampler* metrics = nullptr;
-  obs::ProfileHook* profiler = nullptr;
 };
 
-struct HashJoinResult {
+/// One pass (build + probe), the store counters and fault ledgers, and the
+/// merged counters (sched::PhasedResult), plus the join's own figures.
+struct HashJoinResult : sched::PhasedResult {
   std::uint64_t output = 0;    // counting-join cardinality
   std::uint64_t expected = 0;  // in-memory scalar reference
   bool exact() const { return output == expected; }
-
-  Time total_time = 0;
-  std::vector<runtime::PassTiming> passes;  // one pass: build + probe
-  std::vector<std::string> phase_names;
-  std::int64_t pagefaults = 0;
-
-  /// Merged counters from every node, disk, the network, the stores'
-  /// backends and the placement brokers.
-  StatsRegistry stats;
 };
 
 /// Runs the join alone on a single-job sched::World: memory servers with
@@ -86,8 +61,9 @@ HashJoinResult run_hash_join(const HashJoinConfig& config);
 
 /// The same join as a job for a shared sched::World, run on
 /// scheduler-leased slots. config.metrics and config.profiler must be
-/// null; config.memory_nodes is ignored — the world supplies the donor
-/// pool.
+/// null, and the shared world's donor pool stands in for
+/// config.memory_nodes. config.trace may point at the world's shared
+/// recorder.
 sched::JobRuntimePtr make_hash_join_job(HashJoinConfig config);
 
 }  // namespace rms::workloads

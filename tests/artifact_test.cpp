@@ -60,18 +60,6 @@ workloads::HashJoinConfig small_join_config() {
   return c;
 }
 
-/// The run section of a standalone aggregate run, as bench_workloads
-/// builds it.
-obs::RunSection aggregate_section(const workloads::HashAggregateResult& r) {
-  obs::RunSection run = sched::phased_run_section(
-      "hash_aggregate", r.total_time, r.passes, r.phase_names);
-  run.description = "group-by";
-  run.exact = r.exact;
-  run.pagefaults = r.pagefaults;
-  run.stats = r.stats;
-  return run;
-}
-
 /// The text of the run section that starts with `{"label":"<label>"`, up
 /// to the next run section (or the end of the document).
 std::string section_of(const std::string& json, const std::string& label) {
@@ -172,7 +160,9 @@ TEST(RunObserver, HpaAndAggregateRunsShareOneArtifact) {
   observer.begin_run(acfg, "agg-run");
   const workloads::HashAggregateResult ar = workloads::run_hash_aggregate(acfg);
   ASSERT_TRUE(ar.exact);
-  observer.end_run(aggregate_section(ar));
+  obs::RunSection agg_section = sched::phased_run_section("hash_aggregate", ar);
+  agg_section.exact = ar.exact;
+  observer.end_run(std::move(agg_section));
 
   const std::string json = observer.artifact_json();
   const std::string hpa_run = section_of(json, "hpa-run");
@@ -181,14 +171,14 @@ TEST(RunObserver, HpaAndAggregateRunsShareOneArtifact) {
   ASSERT_FALSE(agg_run.empty()) << json;
 
   for (const std::string* run : {&hpa_run, &agg_run}) {
-    for (const char* key : {R"("counters":{")", R"("summaries":{)",
-                            R"("histograms":{)", R"("failover":{)",
-                            R"("metrics":{"series":[)", R"("profile":{)"}) {
+    for (const char* key :
+         {R"("counters":{")", R"("summaries":{)", R"("histograms":{)",
+          R"("failover":{"suspicions":)", R"("integrity":{)",
+          R"("metrics":{"series":[)", R"("profile":{)"}) {
       EXPECT_TRUE(has(*run, key)) << key << " in " << run->substr(0, 80);
     }
   }
   EXPECT_TRUE(has(hpa_run, R"("workload":"hpa")"));
-  EXPECT_TRUE(has(hpa_run, R"("integrity":{)"));
   for (const char* key :
        {R"("candidates_per_node":[)", R"("pagefaults_per_node":[)",
         R"("swap_outs_per_node":[)", R"("updates_per_node":[)"}) {
@@ -198,7 +188,37 @@ TEST(RunObserver, HpaAndAggregateRunsShareOneArtifact) {
   EXPECT_TRUE(has(agg_run, R"("exact":true)"));
   EXPECT_TRUE(has(agg_run, R"({"name":"executed_events","node":-1})"));
   EXPECT_FALSE(has(agg_run, R"("pagefaults_per_node")"));
-  EXPECT_FALSE(has(agg_run, R"("integrity")"));
+}
+
+TEST(RunObserver, JoinAndAggregateSectionsCarryBothFaultLedgers) {
+  obs::RunObserver observer({"", "", "artifact.json", ""});
+
+  workloads::HashJoinConfig jcfg = small_join_config();
+  observer.begin_run(jcfg, "join-run");
+  const workloads::HashJoinResult jr = workloads::run_hash_join(jcfg);
+  ASSERT_TRUE(jr.exact());
+  // The join starts before the first availability broadcast lands, so its
+  // first evictions degrade to the local disk.
+  ASSERT_GT(jr.failover.degraded_evictions, 0);
+  observer.end_run(sched::phased_run_section("hash_join", jr));
+
+  workloads::HashAggregateConfig acfg = small_aggregate_config();
+  observer.begin_run(acfg, "agg-run");
+  observer.end_run(sched::phased_run_section(
+      "hash_aggregate", workloads::run_hash_aggregate(acfg)));
+
+  const std::string json = observer.artifact_json();
+  const std::string join_run = section_of(json, "join-run");
+  const std::string agg_run = section_of(json, "agg-run");
+  EXPECT_TRUE(has(join_run,
+                  R"("degraded_evictions":)" +
+                      std::to_string(jr.failover.degraded_evictions) + ","))
+      << join_run;
+  for (const std::string* run : {&join_run, &agg_run}) {
+    EXPECT_TRUE(has(*run, R"("failover":{"suspicions":0,)")) << *run;
+    EXPECT_TRUE(has(*run, R"("integrity":{"checksum_mismatches":0,)"))
+        << *run;
+  }
 }
 
 // ---- the gauge set -------------------------------------------------------

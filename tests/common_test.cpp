@@ -392,5 +392,38 @@ TEST(FlagsDeathTest, UnknownFlagExits) {
               ::testing::ExitedWithCode(2), "unknown flag");
 }
 
+TEST(FlagsDeathTest, NonNumericDoubleExitsWithUsage) {
+  const char* argv[] = {"prog", "--limit-mb", "abc", nullptr};
+  const Flags f(3, argv, {{"limit-mb", "memory limit"}});
+  EXPECT_EXIT((void)f.get_double("limit-mb", 1.0),
+              ::testing::ExitedWithCode(2),
+              "--limit-mb expects a number, got 'abc'.*usage:");
+}
+
+TEST(FlagsDeathTest, TrailingGarbageAfterAnIntegerExits) {
+  const char* argv[] = {"prog", "--app-nodes=2x", nullptr};
+  const Flags f(2, argv, {{"app-nodes", ""}});
+  EXPECT_EXIT((void)f.get_int("app-nodes", 4), ::testing::ExitedWithCode(2),
+              "--app-nodes expects a number, got '2x'");
+}
+
+TEST(FlagsDeathTest, EmptyNumericValueExits) {
+  const char* argv[] = {"prog", "--rate=", nullptr};
+  const Flags f(2, argv, {{"rate", ""}});
+  EXPECT_EXIT((void)f.get_double("rate", 0.5), ::testing::ExitedWithCode(2),
+              "--rate expects a number");
+  EXPECT_EXIT((void)f.get_int("rate", 1), ::testing::ExitedWithCode(2),
+              "--rate expects a number");
+}
+
+TEST(Flags, NumbersParseWholeValues) {
+  const char* argv[] = {"prog", "--limit-mb=-1", "--scale", "1e-2",
+                        "--rows=40000", nullptr};
+  const Flags f(5, argv, {{"limit-mb", ""}, {"scale", ""}, {"rows", ""}});
+  EXPECT_DOUBLE_EQ(f.get_double("limit-mb", 0.0), -1.0);
+  EXPECT_DOUBLE_EQ(f.get_double("scale", 0.0), 0.01);
+  EXPECT_EQ(f.get_int("rows", 0), 40000);
+}
+
 }  // namespace
 }  // namespace rms

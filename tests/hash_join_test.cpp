@@ -67,6 +67,25 @@ TEST(HashJoin, DiskSwapRunReportsSwapDiskCounters) {
   EXPECT_EQ(r.stats.counter("placement.paper-rr.chosen"), 0);
 }
 
+TEST(HashJoin, DegradedEvictionsReachTheFailoverLedger) {
+  HashJoinConfig c = small_config();
+  c.policy = core::SwapPolicy::kRemoteSwap;
+  const HashJoinResult r = run_hash_join(c);
+  ASSERT_TRUE(r.exact());
+  // No warmup: evictions before the first availability broadcast lands
+  // have no destination and degrade to the local disk.
+  EXPECT_GT(r.failover.degraded_evictions, 0);
+  EXPECT_EQ(r.failover.degraded_evictions,
+            r.stats.counter("store.degraded_disk_swap"));
+  EXPECT_EQ(r.integrity.lines_lost, 0);
+}
+
+TEST(HashJoinDeathTest, RemotePolicyNeedsAMemoryNode) {
+  HashJoinConfig c = small_config();
+  c.memory_nodes = 0;
+  EXPECT_DEATH(run_hash_join(c), "memory-available");
+}
+
 TEST(HashJoin, RemoteSwapRunReportsPlacementAndBackendCounters) {
   HashJoinConfig c = small_config();
   c.policy = core::SwapPolicy::kRemoteSwap;

@@ -240,6 +240,15 @@ def check_run_artifact(path):
         for section in ("counters", "summaries", "histograms", "failover"):
             expect(isinstance(run.get(section), dict),
                    f"{who}: '{section}' missing")
+        if "job" not in run:
+            # The remote backend bumps the ledger and the counter together
+            # for every eviction that fell back to the local disk.
+            ledger = run.get("failover", {}).get("degraded_evictions", 0)
+            counter = run.get("counters", {}).get("store.degraded_disk_swap",
+                                                  0)
+            expect(ledger == counter,
+                   f"{who}: failover.degraded_evictions={ledger} but counter "
+                   f"store.degraded_disk_swap={counter}")
         for name, h in run.get("histograms", {}).items():
             expect(h.get("p50", 0) <= h.get("p95", 0) <= h.get("p99", 0),
                    f"{who}: histogram {name} percentiles not monotone")
